@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dilation import (
-    PipelineReport,
-    StageRecord,
-    _stage_record,
-    cp_dilate,
-    iterate_coextension,
-    one_step_ck,
-)
+from .dilation import StageRecord, cp_dilate, iterate_ck, iterate_coextension
 from .disc import DEFAULT_GRID, DEFAULT_TRUNC, admissibility_gap, embed_poly, mobius_coeffs, relation_defect
 from .exceptions import (
     ContractivityError,
@@ -255,35 +248,18 @@ def cmd_dilate(args) -> Report:
 
     if args.mode == "isometric":
         pipe = iterate_coextension(rep, n_steps=args.steps, tol=tol)
-        report.stages = list(pipe.steps)
-        report.capped = pipe.capped
         report.checks.append(_flag("pipeline.converged", pipe.converged or pipe.capped))
-        _write_out(args, pf, pipe.final_rep, tol, report)
     elif args.mode == "ck":
-        current = rep
-        embed_total = np.eye(rep.dim, dtype=complex)
-        for _ in range(args.steps):
-            try:
-                step = one_step_ck(current, tol)
-            except ResourceCapError as exc:
-                report.capped = True
-                report.notes.append(str(exc))
-                break
-            report.stages.append(_stage_record(step, step.embed))
-            embed_total = step.embed @ embed_total
-            current = step.rep_after
-        if report.stages:
-            last = report.stages[-1]
-            report.checks.append(
-                CheckLine("corner-ck-defect", last.corner_ck, tol.eps, last.corner_ck <= tol.eps)
-            )
-        _write_out(args, pf, current, tol, report)
+        pipe = iterate_ck(rep, n_steps=args.steps, tol=tol)
+        if pipe.steps:
+            last = pipe.steps[-1].corner_ck
+            report.checks.append(CheckLine("corner-ck-defect", last, tol.eps, last <= tol.eps))
     else:  # cp
         pipe = cp_dilate(rep, max_rounds=args.rounds, tol=tol)
-        report.stages = list(pipe.steps)
-        report.capped = pipe.capped
         report.checks.append(_flag("pipeline.converged", pipe.converged))
-        _write_out(args, pf, pipe.final_rep, tol, report)
+    report.stages = list(pipe.steps)
+    report.capped = pipe.capped
+    _write_out(args, pf, pipe.final_rep, tol, report)
     return report
 
 

@@ -40,10 +40,9 @@ __all__ = [
     "one_step_ck",
     "minimal_reduce",
     "iterate_coextension",
+    "iterate_ck",
     "cp_dilate",
     "moment_signature",
-    "compressed_toeplitz_defect",
-    "compressed_ck_defect",
 ]
 
 
@@ -109,32 +108,6 @@ class PipelineReport:
     final_rep: GraphRep
     embed: np.ndarray
     capped: bool = False
-
-
-def compressed_toeplitz_defect(rep: GraphRep, embed) -> float:
-    """Toeplitz defect compressed to the range of an isometry into rep's space."""
-    E = as_cmatrix(embed, rows=rep.dim)
-    worst = 0.0
-    for e in rep.graph.edges:
-        Te = rep.edge_op[e.eid]
-        for f in rep.graph.edges:
-            val = Te.conj().T @ rep.edge_op[f.eid]
-            if e.eid == f.eid:
-                val = val - rep.proj[e.src]
-            worst = max(worst, op_norm(E.conj().T @ val @ E))
-    return worst
-
-
-def compressed_ck_defect(rep: GraphRep, embed) -> float:
-    """Cuntz-Krieger defect compressed to the range of an isometry."""
-    E = as_cmatrix(embed, rows=rep.dim)
-    worst = 0.0
-    for v in finite_receivers(rep.graph):
-        acc = rep.proj[v].copy()
-        for e in range_fiber(rep.graph, v):
-            acc -= rep.edge_op[e] @ rep.edge_op[e].conj().T
-        worst = max(worst, op_norm(E.conj().T @ acc @ E))
-    return worst
 
 
 def _vertex_basis(rep: GraphRep) -> dict:
@@ -310,7 +283,7 @@ def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
                 lo, hi = offsets[(v, w)]
                 alo, ahi = offsets[(av, aw)]
                 block = np.kron(
-                    a.bucket_matrix(g, v, w),
+                    a.bucket_matrix(g, v, w).conj(),
                     basis[av].conj().T @ rep.unitaries[g] @ basis[v],
                 )
                 U1[alo:ahi, lo:hi] = block
@@ -358,9 +331,26 @@ def _stage_record(step: DilationStep, corner_embed) -> StageRecord:
         toeplitz=toeplitz_defect(rep),
         ck=ck_defect(rep),
         covariance=cov,
-        corner_toeplitz=compressed_toeplitz_defect(rep, corner_embed),
-        corner_ck=compressed_ck_defect(rep, corner_embed),
+        corner_toeplitz=toeplitz_defect(rep, corner_embed),
+        corner_ck=ck_defect(rep, corner_embed),
     )
+
+
+def _run_steps(rep: GraphRep, constructions, tol: Tolerance, stages: list):
+    """Apply the one-step constructions in order, appending one StageRecord
+    per step (corner: the step's input space) to stages.  Returns the last
+    representation, the isometry of rep's space into it, and whether the
+    dimension cap cut the run short."""
+    current, E = rep, np.eye(rep.dim, dtype=complex)
+    for construct in constructions:
+        try:
+            step = construct(current, tol)
+        except ResourceCapError:
+            return current, E, True
+        stages.append(_stage_record(step, step.embed))
+        E = step.embed @ E
+        current = step.rep_after
+    return current, E, False
 
 
 def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
@@ -368,34 +358,23 @@ def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TO
     original space.  Guarantee per stage: the Toeplitz defect compressed to
     the previous stage's space is <= tol.eps."""
     _require_row_contraction(rep, tol)
-    current = rep
-    E_total = np.eye(rep.dim, dtype=complex)
-    stages = []
-    capped = False
-    corners_ok = True
-    for _ in range(int(n_steps)):
-        try:
-            step = one_step_isometric(current, tol)
-        except ResourceCapError:
-            capped = True
-            break
-        record = _stage_record(step, step.embed)
-        stages.append(record)
-        corners_ok = corners_ok and record.corner_toeplitz <= tol.eps
-        E_total = step.embed @ E_total
-        current = step.rep_after
-    red = minimal_reduce(current, Subspace(current.dim, E_total), tol)
-    E_final = red.embed.conj().T @ E_total
-    record = _stage_record(red, E_final)
-    stages.append(record)
-    corners_ok = corners_ok and record.corner_toeplitz <= tol.eps
-    return PipelineReport(
-        steps=tuple(stages),
-        converged=corners_ok and not capped,
-        final_rep=red.rep_after,
-        embed=E_final,
-        capped=capped,
-    )
+    stages: list[StageRecord] = []
+    current, E, capped = _run_steps(rep, [one_step_isometric] * int(n_steps), tol, stages)
+    red = minimal_reduce(current, Subspace(current.dim, E), tol)
+    E = red.embed.conj().T @ E
+    stages.append(_stage_record(red, E))
+    converged = not capped and all(s.corner_toeplitz <= tol.eps for s in stages)
+    return PipelineReport(tuple(stages), converged, red.rep_after, E, capped)
+
+
+def iterate_ck(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
+    """n Cuntz-Krieger steps, without a reduction.  Guarantee per stage: the
+    Cuntz-Krieger defect compressed to the previous stage's space is
+    <= tol.eps; converged says every stage met it and the cap was not hit."""
+    stages: list[StageRecord] = []
+    current, E, capped = _run_steps(rep, [one_step_ck] * int(n_steps), tol, stages)
+    converged = not capped and all(s.corner_ck <= tol.eps for s in stages)
+    return PipelineReport(tuple(stages), converged, current, E, capped)
 
 
 def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
@@ -411,34 +390,20 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
     current = rep
     E_orig = np.eye(rep.dim, dtype=complex)
     stages: list[StageRecord] = []
-    converged = False
-    capped = False
     if toeplitz_defect(current) <= tol.eps and ck_defect(current) <= tol.eps:
         return PipelineReport((), True, current, E_orig, False)
     for _ in range(int(max_rounds)):
-        E_round = np.eye(current.dim, dtype=complex)
-        try:
-            ck_step = one_step_ck(current, tol)
-            stages.append(_stage_record(ck_step, ck_step.embed))
-            E_round = ck_step.embed @ E_round
-            iso_step = one_step_isometric(ck_step.rep_after, tol)
-            stages.append(_stage_record(iso_step, iso_step.embed))
-            E_round = iso_step.embed @ E_round
-            red = minimal_reduce(iso_step.rep_after, Subspace(iso_step.new_dim, E_round), tol)
-            E_round = red.embed.conj().T @ E_round
-            stages.append(_stage_record(red, E_round @ E_orig))
-        except ResourceCapError:
-            capped = True
-            break
+        dilated, E_round, capped = _run_steps(current, (one_step_ck, one_step_isometric), tol, stages)
+        if capped:
+            return PipelineReport(tuple(stages), False, current, E_orig, True)
+        red = minimal_reduce(dilated, Subspace(dilated.dim, E_round), tol)
+        E_round = red.embed.conj().T @ E_round
         current = red.rep_after
         E_orig = E_round @ E_orig
-        if (
-            compressed_toeplitz_defect(current, E_round) <= tol.eps
-            and compressed_ck_defect(current, E_round) <= tol.eps
-        ):
-            converged = True
-            break
-    return PipelineReport(tuple(stages), converged, current, E_orig, capped)
+        stages.append(_stage_record(red, E_orig))
+        if toeplitz_defect(current, E_round) <= tol.eps and ck_defect(current, E_round) <= tol.eps:
+            return PipelineReport(tuple(stages), True, current, E_orig, False)
+    return PipelineReport(tuple(stages), False, current, E_orig, False)
 
 
 def moment_signature(rep: GraphRep, seed: Subspace, max_len: int) -> dict:

@@ -32,6 +32,7 @@ byte-stable under parse/write round trips.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,7 +72,9 @@ def _fmt_scalar(x) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        return format(x, ".17g")
+        # -0.0 + 0.0 is 0.0: "-0" would read back as the integer 0 and be
+        # rewritten as "0", breaking the byte-stable round trip
+        return format(x + 0.0, ".17g")
     if isinstance(x, str):
         return json.dumps(x, ensure_ascii=False)
     if x is None:
@@ -134,16 +137,34 @@ def matrix_from_json(obj, path: str) -> np.ndarray:
             if not (isinstance(z, list) and len(z) == 2
                     and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in z)):
                 raise ParseError(f"{path}[{i}][{j}]: expected an [re, im] pair")
-            entries.append(complex(z[0], z[1]))
+            try:
+                entries.append(complex(z[0], z[1]))
+            except OverflowError:
+                raise ParseError(f"{path}[{i}][{j}]: entry is not finite") from None
         rows.append(entries)
-    return np.array(rows, dtype=complex)
+    A = np.array(rows, dtype=complex)
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        raise ParseError(f"{path}[{bad[0][0]}][{bad[0][1]}]: entry is not finite")
+    return A
+
+
+def _finite_number(x) -> bool:
+    """A JSON number, not a boolean, with a finite float value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _need(obj: dict, key: str, kind, path: str):
     if key not in obj:
         raise ParseError(f"{path}: missing required field {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    # bool is an int subclass: reject true/false where a number is expected
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise ParseError(f"{path}.{key}: expected {kind.__name__}")
     return val
 
@@ -220,11 +241,17 @@ def _tolerance_from_json(obj, path: str) -> Tolerance:
     for key in obj:
         if key not in known:
             raise ParseError(f"{path}.{key}: unknown tolerance field")
+    for key in ("eps", "eig_clip"):
+        if key in obj and not _finite_number(obj[key]):
+            raise ParseError(f"{path}.{key}: expected a finite number")
+    max_dim = obj.get("max_dim", Tolerance.max_dim)
+    if not isinstance(max_dim, int) or isinstance(max_dim, bool):
+        raise ParseError(f"{path}.max_dim: expected an integer")
     try:
         return Tolerance(
             eps=float(obj.get("eps", Tolerance.eps)),
             eig_clip=float(obj.get("eig_clip", Tolerance.eig_clip)),
-            max_dim=int(obj.get("max_dim", Tolerance.max_dim)),
+            max_dim=max_dim,
         )
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc

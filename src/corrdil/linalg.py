@@ -144,6 +144,15 @@ def _hermitian_part(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
+def _eigen_sqrt(A: np.ndarray) -> np.ndarray:
+    """Square root of the Hermitian part of A with negative eigenvalues
+    clamped to 0; the callers' preconditions decide which ones are rounding."""
+    w, V = np.linalg.eigh(_hermitian_part(A))
+    w = np.where(w < 0.0, 0.0, w)
+    S = (V * np.sqrt(w)) @ V.conj().T
+    return _hermitian_part(S)
+
+
 def is_psd(M, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Hermitian within tol.eps and minimal eigenvalue >= -tol.eig_clip."""
     A = as_cmatrix(M)
@@ -168,10 +177,7 @@ def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise DimensionError(f"psd_sqrt needs a square matrix, got {A.shape}")
     if not is_psd(A, tol):
         raise PositivityError("matrix is not positive semidefinite within tolerance")
-    w, V = np.linalg.eigh(_hermitian_part(A))
-    w = np.where(w < 0.0, 0.0, w)
-    S = (V * np.sqrt(w)) @ V.conj().T
-    return _hermitian_part(S)
+    return _eigen_sqrt(A)
 
 
 def defect_sqrt(T, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -185,11 +191,7 @@ def defect_sqrt(T, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     A = as_cmatrix(T)
     if op_norm(A) > 1.0 + tol.eps:
         raise ContractivityError("operator norm exceeds 1 beyond tolerance")
-    D = np.eye(A.shape[1], dtype=complex) - A.conj().T @ A
-    w, V = np.linalg.eigh(_hermitian_part(D))
-    w = np.where(w < 0.0, 0.0, w)
-    S = (V * np.sqrt(w)) @ V.conj().T
-    return _hermitian_part(S)
+    return _eigen_sqrt(np.eye(A.shape[1], dtype=complex) - A.conj().T @ A)
 
 
 def compress(M, S: Subspace) -> np.ndarray:

@@ -230,8 +230,13 @@ def row_contraction_check(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> RowCon
     return RowContractionReport(tuple(results))
 
 
-def toeplitz_defect(rep: GraphRep) -> float:
-    """max over edge pairs of ||t(e)* t(f) - rho(<delta_e, delta_f>)||."""
+def toeplitz_defect(rep: GraphRep, embed=None) -> float:
+    """max over edge pairs of ||t(e)* t(f) - rho(<delta_e, delta_f>)||.
+
+    With an isometry embed into rep's space each residual R is compressed
+    to embed* R embed, the defect on embed's range.
+    """
+    E = None if embed is None else as_cmatrix(embed, rows=rep.dim)
     worst = 0.0
     for e in rep.graph.edges:
         Te = rep.edge_op[e.eid]
@@ -239,21 +244,23 @@ def toeplitz_defect(rep: GraphRep) -> float:
             val = Te.conj().T @ rep.edge_op[f.eid]
             if e.eid == f.eid:
                 val = val - rep.proj[e.src]
-            worst = max(worst, op_norm(val))
+            worst = max(worst, op_norm(val if E is None else E.conj().T @ val @ E))
     return worst
 
 
-def ck_defect(rep: GraphRep) -> float:
-    """max over finite receivers v of ||proj(v) - sum_{r(e)=v} t(e) t(e)*||.
+def ck_defect(rep: GraphRep, embed=None) -> float:
+    """max over finite receivers v of ||proj(v) - sum_{r(e)=v} t(e) t(e)*||,
+    compressed to the range of embed as in :func:`toeplitz_defect`.
 
     Vertices outside the finite receivers impose no condition.
     """
+    E = None if embed is None else as_cmatrix(embed, rows=rep.dim)
     worst = 0.0
     for v in finite_receivers(rep.graph):
         acc = rep.proj[v].copy()
         for e in range_fiber(rep.graph, v):
             acc -= rep.edge_op[e] @ rep.edge_op[e].conj().T
-        worst = max(worst, op_norm(acc))
+        worst = max(worst, op_norm(acc if E is None else E.conj().T @ acc @ E))
     return worst
 
 

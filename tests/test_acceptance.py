@@ -17,7 +17,7 @@ from corrdil import (
     HALMOS_CONSTANT,
     Subspace,
     admissibility_gap,
-    compressed_ck_defect,
+    ck_defect,
     covariance_defect,
     cp_dilate,
     defect_sqrt,
@@ -123,7 +123,7 @@ def test_criterion_03_ck_step_exactness(capsys):
             g = random_graph(rng, max_v=4, max_e=6)
             rep = random_cc_rep(rng, g, dim=int(rng.integers(1, 9)))
             step = one_step_ck(rep)
-            assert compressed_ck_defect(step.rep_after, step.embed) <= 1e-7
+            assert ck_defect(step.rep_after, step.embed) <= 1e-7
             assert row_contraction_check(step.rep_after).passed
 
     _criterion(capsys, 3, "Cuntz-Krieger step corner exactness ≤ 1e-7 and row "

@@ -131,6 +131,38 @@ def test_dilate_capped(tmp_path, capsys):
     assert "CAPPED" in out
 
 
+def test_dilate_ck_two_steps_records(cuntz2_zero_file, capsys):
+    argv = ["dilate", "--mode", "ck", "--steps", "2", "--format", "records", cuntz2_zero_file]
+    assert main(argv) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["kind"] for r in rows if r["record"] == "stage"] == ["ck-step", "ck-step"]
+    corner = [r for r in rows if r["record"] == "check" and r["name"] == "corner-ck-defect"]
+    assert len(corner) == 1 and corner[0]["passed"]
+    assert rows[-1] == {"record": "result", "exit_status": 0}
+
+
+def test_dilate_ck_capped(cuntz2_zero_file, capsys):
+    argv = ["dilate", "--mode", "ck", "--steps", "3", "--max-dim", "4", cuntz2_zero_file]
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert out.count("ck-step") == 1
+    assert "result: CAPPED (exit 3)" in out
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"graph": {"vertices": ["v"], "edges": []}, "tolerance": {"eps": [1]}}',
+     "tolerance.eps"),
+    ('{"graph": {"vertices": ["v"], "edges": [["e0", "v", "v"]]}, "representation":'
+     ' {"dim": 1, "proj": {"v": [[[1, 0]]]}, "edge_op": {"e0": [[[NaN, 0]]]}}}',
+     "representation.edge_op['e0'][0][0]"),
+], ids=["eps-list", "nan-entry"])
+def test_malformed_numbers_exit_2_with_location(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_dilate_requires_representation(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"graph": {"vertices": ["v"], "edges": []}}))

@@ -8,18 +8,20 @@ import pytest
 from corrdil import (
     ContractivityError,
     DirectedGraph,
+    FiniteGroup,
+    GaugeAction,
     GraphRep,
     ResourceCapError,
     Subspace,
     Tolerance,
     apply_t,
     ck_defect,
-    compressed_ck_defect,
-    compressed_toeplitz_defect,
     covariance_defect,
     cp_dilate,
     delta_edge,
+    induced_regular_rep,
     inner_product,
+    iterate_ck,
     iterate_coextension,
     minimal_reduce,
     moment_signature,
@@ -66,7 +68,7 @@ def test_isometric_step_on_isometric_rep_adds_zero_defect():
         T1 = new.edge_op[e.eid]
         # defect block below the corner is zero
         assert op_norm(T1 @ E - E @ base.edge_op[e.eid]) <= 1e-12
-    assert compressed_toeplitz_defect(new, E) <= 1e-12
+    assert toeplitz_defect(new, E) <= 1e-12
 
 
 def test_isometric_step_cuntz2_zero_rep():
@@ -147,8 +149,8 @@ def test_ck_step_on_ck_rep_extends_by_zero():
     assert ck_defect(base) <= 1e-14
     step = one_step_ck(base)
     E = step.embed
-    assert compressed_ck_defect(step.rep_after, E) <= 1e-12
-    assert compressed_toeplitz_defect(step.rep_after, E) <= 1e-12
+    assert ck_defect(step.rep_after, E) <= 1e-12
+    assert toeplitz_defect(step.rep_after, E) <= 1e-12
     # added columns are zero: full edge operators agree with the embedding
     for e in base.graph.edges:
         assert op_norm(step.rep_after.edge_op[e.eid] - E @ base.edge_op[e.eid] @ E.conj().T) <= 1e-12
@@ -168,7 +170,7 @@ def test_ck_step_two_vertex_bookkeeping():
     assert np.trace(new.proj["w"]).real == pytest.approx(2.0, abs=1e-12)
     # CK now holds on the original corner at the receiver
     E = step.embed
-    assert compressed_ck_defect(new, E) <= 1e-13
+    assert ck_defect(new, E) <= 1e-13
 
 
 def test_ck_step_random_corner_exactness():
@@ -177,8 +179,8 @@ def test_ck_step_random_corner_exactness():
         g = random_graph(rng)
         rep = random_cc_rep(rng, g, dim=int(rng.integers(1, 7)))
         step = one_step_ck(rep)
-        assert compressed_ck_defect(step.rep_after, step.embed) <= 1e-10
-        assert compressed_toeplitz_defect(step.rep_after, step.embed) <= (
+        assert ck_defect(step.rep_after, step.embed) <= 1e-10
+        assert toeplitz_defect(step.rep_after, step.embed) <= (
             toeplitz_defect(rep) + 1e-10
         )
         assert validate(step.rep_after).passed
@@ -192,6 +194,46 @@ def test_ck_step_preserves_covariance():
     rep = induced_regular_rep(base, a)
     step = one_step_ck(rep)
     assert covariance_defect(step.rep_after) <= 1e-7
+
+
+def test_ck_step_preserves_covariance_under_phase_action():
+    # Z3 multiplies the two Cuntz loops by w and w^2: a bucket matrix that is
+    # not real, so the new gauge block must carry its complex conjugate
+    w = np.exp(2j * np.pi / 3)
+    g = cuntz_graph(2)
+    a = GaugeAction(FiniteGroup.cyclic(3), g, tuple({"v": "v"} for _ in range(3)),
+                    {(k, "v", "v"): np.diag([w ** k, w ** (2 * k)]) for k in (1, 2)})
+    rep = induced_regular_rep(random_cc_rep(rng_for(944), g, dim=2), a)
+    assert covariance_defect(rep) <= 1e-12
+    assert covariance_defect(one_step_ck(rep).rep_after) <= 1e-7
+    assert covariance_defect(cp_dilate(rep, max_rounds=8).final_rep) <= 1e-7
+
+
+# ---------------------------------------------------------------- iterate_ck
+
+def test_iterate_ck_composes_one_step_ck():
+    rng = rng_for(945)
+    rep = random_cc_rep(rng, random_graph(rng), dim=3)
+    report = iterate_ck(rep, 2)
+    first = one_step_ck(rep)
+    second = one_step_ck(first.rep_after)
+    assert [s.kind for s in report.steps] == ["ck-step", "ck-step"]
+    assert report.converged and not report.capped
+    assert np.array_equal(report.embed, second.embed @ first.embed)
+    final = report.final_rep
+    assert final.dim == second.new_dim
+    for e in rep.graph.edges:
+        assert np.array_equal(final.edge_op[e.eid], second.rep_after.edge_op[e.eid])
+    for v in rep.graph.vertices:
+        assert np.array_equal(final.proj[v], second.rep_after.proj[v])
+
+
+def test_iterate_ck_stops_at_cap():
+    rep = zero_rep(cuntz_graph(2), 1)
+    report = iterate_ck(rep, 3, tol=Tolerance(max_dim=4))
+    assert report.capped and not report.converged
+    assert [s.new_dim for s in report.steps] == [3]
+    assert report.final_rep.dim == 3
 
 
 # ---------------------------------------------------------------- minimal_reduce
@@ -342,8 +384,8 @@ def test_cp_dilate_cycle_against_unitary_oracle():
     rep = GraphRep(g, 3 * d, proj, edge_op)
     report = cp_dilate(rep, max_rounds=6, tol=Tolerance(max_dim=2048))
     assert report.converged
-    assert compressed_toeplitz_defect(report.final_rep, report.embed) <= 1e-8
-    assert compressed_ck_defect(report.final_rep, report.embed) <= 1e-8
+    assert toeplitz_defect(report.final_rep, report.embed) <= 1e-8
+    assert ck_defect(report.final_rep, report.embed) <= 1e-8
     # both dilations compress words of length 2 to the same products
     E = report.embed
     for i in range(3):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,47 @@ def test_unknown_tolerance_field():
     })
     with pytest.raises(ParseError, match="epsilon"):
         parse_problem(text)
+
+
+def _one_loop_text(entry: str, tolerance: str = "{}") -> str:
+    """A 1-dim one-loop problem whose edge entry is the raw JSON pair entry."""
+    return ('{"graph": {"vertices": ["v"], "edges": [["e0", "v", "v"]]},'
+            ' "representation": {"dim": 1, "proj": {"v": [[[1, 0]]]},'
+            ' "edge_op": {"e0": [[' + entry + ']]}}, "tolerance": ' + tolerance + '}')
+
+
+@pytest.mark.parametrize("entry", ["[NaN, 0]", "[0, Infinity]", "[-Infinity, 0]",
+                                   "[1e400, 0]", "[0, 1" + "0" * 400 + "]"],
+                         ids=["nan", "inf-imag", "minus-inf", "float-overflow", "int-overflow"])
+def test_non_finite_matrix_entry(entry):
+    with pytest.raises(ParseError, match=re.escape("representation.edge_op['e0'][0][0]")):
+        parse_problem(_one_loop_text(entry))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps", "[1]"), ("eps", '"1e-3"'), ("eps", "true"), ("eps", "Infinity"),
+    ("eig_clip", "NaN"), ("max_dim", "3.9"), ("max_dim", "true"), ("max_dim", '"8"'),
+])
+def test_tolerance_field_type(field, value):
+    text = _one_loop_text("[0, 0]", "{" + json.dumps(field) + ": " + value + "}")
+    with pytest.raises(ParseError, match=re.escape(f"tolerance.{field}")):
+        parse_problem(text)
+
+
+def test_dim_rejects_boolean():
+    text = _one_loop_text("[0, 0]").replace('"dim": 1', '"dim": true')
+    with pytest.raises(ParseError, match=re.escape("representation.dim")):
+        parse_problem(text)
+
+
+def test_negative_zero_round_trips_byte_identical():
+    g = cuntz_graph(1)
+    M = np.array([[complex(-0.0, -0.0), complex(-0.0, 0.5)],
+                  [complex(0.25, -0.0), complex(1.0, 0.0)]])
+    rep = GraphRep(g, 2, {"v": np.eye(2)}, {"e0": M})
+    text = problem_text(ProblemFile(g, None, rep, Tolerance()))
+    assert "-0," not in text and "-0]" not in text
+    assert problem_text(parse_problem(text)) == text
 
 
 def test_rep_dimension_mismatch():
