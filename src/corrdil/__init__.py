@@ -28,7 +28,6 @@ from .linalg import (
     Subspace,
     Tolerance,
     as_cmatrix,
-    compress,
     defect_sqrt,
     is_psd,
     op_norm,
@@ -46,14 +45,11 @@ from .graph import (
 from .correspondence import (
     CoeffElement,
     CorrElement,
-    FiniteRankOp,
     delta_edge,
     delta_vertex,
     inner_product,
-    katsura_ideal_support,
     left_action,
     right_action,
-    theta,
 )
 from .gauge import (
     CheckResult,
@@ -71,15 +67,11 @@ from .representation import (
     GraphRep,
     RowContractionReport,
     VertexContraction,
-    apply_rho,
     apply_t,
     ck_defect,
     covariance_defect,
     induced_regular_rep,
-    integrated_form,
-    psi_t,
     row_contraction_check,
-    shift_ampliation,
     toeplitz_defect,
     validate,
 )
@@ -122,7 +114,6 @@ __all__ = [
     "Subspace",
     "Tolerance",
     "as_cmatrix",
-    "compress",
     "defect_sqrt",
     "is_psd",
     "op_norm",
@@ -136,14 +127,11 @@ __all__ = [
     "satisfies_hyperrigidity_criterion",
     "CoeffElement",
     "CorrElement",
-    "FiniteRankOp",
     "delta_edge",
     "delta_vertex",
     "inner_product",
-    "katsura_ideal_support",
     "left_action",
     "right_action",
-    "theta",
     "CheckResult",
     "FiniteGroup",
     "GaugeAction",
@@ -157,15 +145,11 @@ __all__ = [
     "GraphRep",
     "RowContractionReport",
     "VertexContraction",
-    "apply_rho",
     "apply_t",
     "ck_defect",
     "covariance_defect",
     "induced_regular_rep",
-    "integrated_form",
-    "psi_t",
     "row_contraction_check",
-    "shift_ampliation",
     "toeplitz_defect",
     "validate",
     "DilationStep",

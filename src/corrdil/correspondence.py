@@ -1,6 +1,6 @@
 """The graph correspondence (X, C, phi_X): finitely supported elements over
-edges (X) and vertices (C = functions on V), the C-valued inner product, the
-two module actions, and symbolic finite-rank operators theta_{x,y}.
+edges (X) and vertices (C = functions on V), the C-valued inner product and
+the two module actions.
 
 Finitely supported maps are the whole module for a finite graph, so no
 completion is ever taken; coefficients are exact dict entries.
@@ -11,19 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exceptions import StructureError
-from .graph import DirectedGraph, finite_receivers
+from .graph import DirectedGraph
 
 __all__ = [
     "CoeffElement",
     "CorrElement",
-    "FiniteRankOp",
     "delta_vertex",
     "delta_edge",
     "inner_product",
     "right_action",
     "left_action",
-    "theta",
-    "katsura_ideal_support",
 ]
 
 
@@ -105,31 +102,12 @@ class CorrElement:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class FiniteRankOp:
-    """Symbolic sum of theta_{x,y} terms; only evaluated through psi_t."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        terms = tuple((x, y) for x, y in self.terms)
-        graphs = {id(x.graph) for x, y in terms} | {id(y.graph) for x, y in terms}
-        if len(graphs) > 1:
-            raise StructureError("finite-rank terms span different graphs")
-        object.__setattr__(self, "terms", terms)
-
-
 def delta_vertex(g: DirectedGraph, v: str, scale: complex = 1.0) -> CoeffElement:
     return CoeffElement(g, {v: scale})
 
 
 def delta_edge(g: DirectedGraph, e: str, scale: complex = 1.0) -> CorrElement:
     return CorrElement(g, {e: scale})
-
-
-def theta(x: CorrElement, y: CorrElement) -> FiniteRankOp:
-    """The rank-one operator theta_{x,y}(z) = x <y, z>."""
-    return FiniteRankOp(((x, y),))
 
 
 def _same_graph(a, b) -> None:
@@ -164,12 +142,3 @@ def left_action(c: CoeffElement, x: CorrElement) -> CorrElement:
         x.graph,
         {e: c(x.graph.edge(e).dst) * xc for e, xc in x.coeffs.items()},
     )
-
-
-def katsura_ideal_support(g: DirectedGraph) -> tuple[str, ...]:
-    """Vertices whose delta_v span the covariance ideal: the finite receivers.
-
-    delta_v lies in the kernel of phi_X exactly when r^{-1}(v) is empty, so
-    source-only vertices are excluded.
-    """
-    return finite_receivers(g)

@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correspondence import delta_edge
 from .exceptions import ContractivityError, DimensionError, ResourceCapError, StructureError
-from .gauge import act_on_element
 from .graph import edge_bucket, finite_receivers, range_fiber
 from .linalg import (
     DEFAULT_TOL,
@@ -190,19 +188,18 @@ def one_step_isometric(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationS
         proj[v] = P1
     unitaries = None
     if rep.covariant:
-        a = rep.action
         unitaries = {}
-        for g in range(a.group.order):
+        for g, W in enumerate(rep.action.edge_unitaries):
             U1 = np.zeros((new_dim, new_dim), dtype=complex)
             U1[:d, :d] = rep.unitaries[g]
-            for e in graph.edges:
+            for j, e in enumerate(graph.edges):
                 lo, hi = offsets[e.eid]
-                moved = act_on_element(a, g, delta_edge(graph, e.eid))
-                for f, c in moved.coeffs.items():
-                    flo, fhi = offsets[f]
-                    U1[d + flo:d + fhi, d + lo:d + hi] = c * (
-                        basis[graph.edge(f).src].conj().T @ rep.unitaries[g] @ basis[e.src]
-                    )
+                for i, f in enumerate(graph.edges):
+                    if W[i, j] != 0:
+                        flo, fhi = offsets[f.eid]
+                        U1[d + flo:d + fhi, d + lo:d + hi] = W[i, j] * (
+                            basis[f.src].conj().T @ rep.unitaries[g] @ basis[e.src]
+                        )
             unitaries[g] = U1
     rep_after = GraphRep(graph, new_dim, proj, edge_op,
                          action=rep.action, unitaries=unitaries)

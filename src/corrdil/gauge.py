@@ -8,6 +8,7 @@ Group elements are referred to by their table index throughout the library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -135,7 +136,8 @@ class GaugeAction:
     bucket_unitary maps (element index, range vertex v, source vertex w) to
     the matrix carrying coefficients on E(v, w) (input edge order) to
     coefficients on E(alpha_g v, alpha_g w); buckets related by a group
-    element have equal size, so the matrices are square.
+    element have equal size, so the matrices are square.  edge_unitaries
+    assembles them into one |E| x |E| matrix per element.
     """
 
     group: FiniteGroup
@@ -149,7 +151,10 @@ class GaugeAction:
             raise StructureError("one vertex permutation per group element required")
         units = {}
         for (gi, v, w), U in self.bucket_unitary.items():
-            units[(int(gi), v, w)] = as_cmatrix(U)
+            U = as_cmatrix(U)
+            if not np.isfinite(U).all():
+                raise StructureError(f"bucket matrix ({gi}, {v!r}, {w!r}) has a non-finite entry")
+            units[(int(gi), v, w)] = U
         # every nonempty bucket needs a matrix for every group element,
         # defaulting to the identity for the group identity
         for gi in range(self.group.order):
@@ -163,6 +168,30 @@ class GaugeAction:
                         )
         object.__setattr__(self, "vertex_perm", perms)
         object.__setattr__(self, "bucket_unitary", units)
+
+    @cached_property
+    def edge_unitaries(self) -> tuple:
+        """W_g per element g: the |E| x |E| matrix (input edge order) carrying
+        the coefficients of x to those of alpha_g(x), each bucket matrix placed
+        at its source and target buckets.  Built on first use, so that
+        verify_action can still report a malformed action."""
+        graph = self.graph
+        index = {e.eid: i for i, e in enumerate(graph.edges)}
+        out = []
+        for g, perm in enumerate(self.vertex_perm):
+            W = np.zeros((len(index), len(index)), dtype=complex)
+            for (v, w), bucket in graph._bucket.items():
+                target = edge_bucket(graph, perm[v], perm[w])
+                U = self.bucket_unitary[(g, v, w)]
+                if U.shape != (len(target), len(bucket)):
+                    raise StructureError(
+                        f"bucket matrix ({g}, {v!r}, {w!r}) has shape {U.shape},"
+                        f" expected {(len(target), len(bucket))}"
+                    )
+                W[np.ix_([index[f] for f in target], [index[e] for e in bucket])] = U
+            W.flags.writeable = False
+            out.append(W)
+        return tuple(out)
 
     def perm_vertex(self, g: int, v: str) -> str:
         self.group.check_element(g)
@@ -245,21 +274,13 @@ def verify_action(a: GaugeAction, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
 
 
 def act_on_element(a: GaugeAction, g: int, x: CorrElement) -> CorrElement:
-    """alpha_g(x), computed bucket by bucket."""
+    """alpha_g(x): W_g applied to the coefficient vector of x."""
     a.group.check_element(g)
     if x.graph != a.graph:
         raise StructureError("element lives over a different graph")
-    out: dict[str, complex] = {}
-    touched = {(x.graph.edge(e).dst, x.graph.edge(e).src) for e in x.coeffs}
-    for (v, w) in touched:
-        bucket = edge_bucket(a.graph, v, w)
-        vec = np.array([x(e) for e in bucket], dtype=complex)
-        target = edge_bucket(a.graph, a.vertex_perm[g][v], a.vertex_perm[g][w])
-        new = a.bucket_unitary[(g, v, w)] @ vec
-        for e, c in zip(target, new):
-            if c != 0:
-                out[e] = out.get(e, 0j) + c
-    return CorrElement(a.graph, out)
+    edges = a.graph.edges
+    moved = a.edge_unitaries[g] @ np.array([x(e.eid) for e in edges], dtype=complex)
+    return CorrElement(a.graph, {e.eid: c for e, c in zip(edges, moved)})
 
 
 def act_on_coeff(a: GaugeAction, g: int, c: CoeffElement) -> CoeffElement:

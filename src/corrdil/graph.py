@@ -83,9 +83,6 @@ class DirectedGraph:
         except KeyError:
             raise GraphLookupError(f"unknown edge {eid!r}") from None
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._fiber
-
     def require_vertex(self, v: str) -> None:
         if v not in self._fiber:
             raise GraphLookupError(f"unknown vertex {v!r}")

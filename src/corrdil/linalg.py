@@ -1,5 +1,5 @@
 """Dense complex-matrix primitives: norms, positivity, square roots, defect
-operators, compressions, and invariant-subspace closures.
+operators, and invariant-subspace closures.
 
 A "CMatrix" is simply a two-dimensional :class:`numpy.ndarray` with dtype
 ``complex128``.  Every function here is pure (no shared mutable state) and
@@ -8,6 +8,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "is_psd",
     "psd_sqrt",
     "defect_sqrt",
-    "compress",
     "orthonormal_closure",
 ]
 
@@ -56,10 +56,10 @@ class Tolerance:
     max_dim: int = 4096
 
     def __post_init__(self):
-        if not (self.eps > 0.0):
-            raise ValueError("eps must be positive")
-        if not (self.eig_clip > 0.0):
-            raise ValueError("eig_clip must be positive")
+        if not (0.0 < self.eps < math.inf):
+            raise ValueError("eps must be finite and positive")
+        if not (0.0 < self.eig_clip < math.inf):
+            raise ValueError("eig_clip must be finite and positive")
         if self.max_dim < 1:
             raise ValueError("max_dim must be at least 1")
 
@@ -192,13 +192,6 @@ def defect_sqrt(T, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if op_norm(A) > 1.0 + tol.eps:
         raise ContractivityError("operator norm exceeds 1 beyond tolerance")
     return _eigen_sqrt(np.eye(A.shape[1], dtype=complex) - A.conj().T @ A)
-
-
-def compress(M, S: Subspace) -> np.ndarray:
-    """B* M B for the basis columns B of S."""
-    A = as_cmatrix(M, rows=S.ambient_dim, cols=S.ambient_dim)
-    B = S.basis
-    return B.conj().T @ A @ B
 
 
 def _append_orthonormal(B: np.ndarray, W: np.ndarray, eig_clip: float):

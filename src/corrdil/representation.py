@@ -1,7 +1,7 @@
 """Finite-dimensional covariant representations (rho, t, u, H) of a graph
 correspondence with an optional gauge action: structural validation, defect
-measurements (Toeplitz, Cuntz-Krieger, covariance), induced regular
-representations, integrated forms, and shift ampliations.
+measurements (Toeplitz, Cuntz-Krieger, covariance) and induced regular
+representations.
 """
 
 from __future__ import annotations
@@ -10,16 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correspondence import (
-    CoeffElement,
-    CorrElement,
-    FiniteRankOp,
-    delta_edge,
-    delta_vertex,
-    inner_product,
-)
+from .correspondence import CorrElement
 from .exceptions import ConfigurationError, StructureError
-from .gauge import GaugeAction, act_on_element
+from .gauge import GaugeAction
 from .graph import DirectedGraph, finite_receivers, range_fiber
 from .linalg import DEFAULT_TOL, Tolerance, as_cmatrix, op_norm
 
@@ -30,17 +23,20 @@ __all__ = [
     "VertexContraction",
     "RowContractionReport",
     "validate",
-    "apply_rho",
     "apply_t",
     "row_contraction_check",
     "toeplitz_defect",
     "ck_defect",
     "covariance_defect",
-    "psi_t",
     "induced_regular_rep",
-    "integrated_form",
-    "shift_ampliation",
 ]
+
+
+def _finite_matrix(name: str, M, d: int) -> np.ndarray:
+    A = as_cmatrix(M, rows=d, cols=d)
+    if not np.isfinite(A).all():
+        raise StructureError(f"{name} has a non-finite entry")
+    return A
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,7 @@ class GraphRep:
     """Projections rho(delta_v), edge operators t(delta_e), and (optionally)
     group unitaries u(g), all dim x dim matrices on a common space H.
 
-    Structural shape requirements are enforced at construction; the numeric
+    Shapes and finite entries are enforced at construction; the numeric
     requirements (idempotence, orthogonality, module covariance, unitarity,
     multiplicativity) are measured by :func:`validate`.
     """
@@ -64,10 +60,10 @@ class GraphRep:
         d = int(self.dim)
         if d < 0:
             raise StructureError("dimension must be nonnegative")
-        proj = {v: as_cmatrix(P, rows=d, cols=d) for v, P in self.proj.items()}
+        proj = {v: _finite_matrix(f"proj[{v!r}]", P, d) for v, P in self.proj.items()}
         if set(proj.keys()) != set(self.graph.vertices):
             raise StructureError("proj must have exactly one matrix per vertex")
-        ops = {e: as_cmatrix(T, rows=d, cols=d) for e, T in self.edge_op.items()}
+        ops = {e: _finite_matrix(f"edge_op[{e!r}]", T, d) for e, T in self.edge_op.items()}
         if set(ops.keys()) != {e.eid for e in self.graph.edges}:
             raise StructureError("edge_op must have exactly one matrix per edge")
         if self.action is not None and self.action.graph != self.graph:
@@ -76,7 +72,9 @@ class GraphRep:
         if unitaries is not None:
             if self.action is None:
                 raise StructureError("unitaries require an action")
-            unitaries = {int(g): as_cmatrix(U, rows=d, cols=d) for g, U in unitaries.items()}
+            unitaries = {
+                int(g): _finite_matrix(f"unitaries[{g}]", U, d) for g, U in unitaries.items()
+            }
             if set(unitaries.keys()) != set(range(self.action.group.order)):
                 raise StructureError("unitaries must cover every group element")
         object.__setattr__(self, "dim", d)
@@ -151,13 +149,12 @@ def validate(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DefectReport:
     return DefectReport(tuple(checks))
 
 
-def apply_rho(rep: GraphRep, c: CoeffElement) -> np.ndarray:
-    """rho(c) = sum_v c(v) proj(v)."""
-    if c.graph != rep.graph:
-        raise StructureError("coefficient element lives over a different graph")
+def _edge_sum(rep: GraphRep, coeffs) -> np.ndarray:
+    """sum_f c_f edge_op(f) over the nonzero c_f of a vector in edge order."""
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for v, val in c.coeffs.items():
-        out = out + val * rep.proj[v]
+    for f, c in zip(rep.graph.edges, coeffs):
+        if c != 0:
+            out = out + c * rep.edge_op[f.eid]
     return out
 
 
@@ -165,10 +162,7 @@ def apply_t(rep: GraphRep, x: CorrElement) -> np.ndarray:
     """t(x) = sum_e x(e) edge_op(e)."""
     if x.graph != rep.graph:
         raise StructureError("correspondence element lives over a different graph")
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for e, val in x.coeffs.items():
-        out = out + val * rep.edge_op[e]
-    return out
+    return _edge_sum(rep, [x(e.eid) for e in rep.graph.edges])
 
 
 @dataclass(frozen=True)
@@ -266,14 +260,15 @@ def ck_defect(rep: GraphRep, embed=None) -> float:
 
 def covariance_defect(rep: GraphRep) -> float:
     """max over g, e, v of ||u(g) t(e) - t(alpha_g delta_e) u(g)|| and
-    ||u(g) proj(v) - proj(alpha_g v) u(g)||."""
+    ||u(g) proj(v) - proj(alpha_g v) u(g)||, with alpha_g delta_e the e-th
+    column of the edge unitary W_g."""
     if rep.action is None or rep.unitaries is None:
         raise ConfigurationError("covariance defect needs an action and unitaries")
     worst = 0.0
-    for g in range(rep.action.group.order):
+    for g, W in enumerate(rep.action.edge_unitaries):
         U = rep.unitaries[g]
-        for e in rep.graph.edges:
-            moved = apply_t(rep, act_on_element(rep.action, g, delta_edge(rep.graph, e.eid)))
+        for j, e in enumerate(rep.graph.edges):
+            moved = _edge_sum(rep, W[:, j])
             worst = max(worst, op_norm(U @ rep.edge_op[e.eid] - moved @ U))
         for v in rep.graph.vertices:
             worst = max(
@@ -281,14 +276,6 @@ def covariance_defect(rep: GraphRep) -> float:
                 op_norm(U @ rep.proj[v] - rep.proj[rep.action.perm_vertex(g, v)] @ U),
             )
     return worst
-
-
-def psi_t(rep: GraphRep, k: FiniteRankOp) -> np.ndarray:
-    """psi_t(sum theta_{x,y}) = sum t(x) t(y)*."""
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for x, y in k.terms:
-        out = out + apply_t(rep, x) @ apply_t(rep, y).conj().T
-    return out
 
 
 def induced_regular_rep(rep: GraphRep, a: GaugeAction) -> GraphRep:
@@ -317,14 +304,10 @@ def induced_regular_rep(rep: GraphRep, a: GaugeAction) -> GraphRep:
         proj[v] = block_diag(
             [rep.proj[a.perm_vertex(a.group.inv(g), v)] for g in range(n)]
         )
+    moves = [a.edge_unitaries[a.group.inv(g)] for g in range(n)]
     edge_op = {}
-    for e in rep.graph.edges:
-        edge_op[e.eid] = block_diag(
-            [
-                apply_t(rep, act_on_element(a, a.group.inv(g), delta_edge(rep.graph, e.eid)))
-                for g in range(n)
-            ]
-        )
+    for j, e in enumerate(rep.graph.edges):
+        edge_op[e.eid] = block_diag([_edge_sum(rep, W[:, j]) for W in moves])
     unitaries = {}
     for s in range(n):
         U = np.zeros((dim, dim), dtype=complex)
@@ -334,35 +317,3 @@ def induced_regular_rep(rep: GraphRep, a: GaugeAction) -> GraphRep:
         unitaries[s] = U
     return GraphRep(rep.graph, dim, proj, edge_op, action=a, unitaries=unitaries)
 
-
-def integrated_form(rep: GraphRep, f: dict) -> np.ndarray:
-    """sum over group elements s of t(f(s)) u(s), for f: element -> CorrElement."""
-    if rep.unitaries is None:
-        raise ConfigurationError("integrated form needs unitaries")
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for s, x in f.items():
-        rep.action.group.check_element(int(s))
-        out = out + apply_t(rep, x) @ rep.unitaries[int(s)]
-    return out
-
-
-def shift_ampliation(rep: GraphRep, N: int, mode: str = "truncated") -> GraphRep:
-    """Tensor the edge operators with the N x N truncated (or cyclic) forward
-    shift; projections and unitaries tensor with the identity."""
-    if N < 2:
-        raise ValueError("shift ampliation needs N >= 2")
-    if mode not in ("truncated", "cyclic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    S = np.zeros((N, N), dtype=complex)
-    for i in range(N - 1):
-        S[i + 1, i] = 1.0
-    if mode == "cyclic":
-        S[0, N - 1] = 1.0
-    eye = np.eye(N, dtype=complex)
-    proj = {v: np.kron(P, eye) for v, P in rep.proj.items()}
-    edge_op = {e: np.kron(T, S) for e, T in rep.edge_op.items()}
-    unitaries = None
-    if rep.unitaries is not None:
-        unitaries = {g: np.kron(U, eye) for g, U in rep.unitaries.items()}
-    return GraphRep(rep.graph, rep.dim * N, proj, edge_op,
-                    action=rep.action, unitaries=unitaries)

@@ -272,3 +272,54 @@ def test_tol_flag_tightens_checks(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     capsys.readouterr()
     assert main(["validate", str(path), "--tol", "1e-3"]) == 0
+
+
+def test_infinite_tolerance_flags_exit_2(tmp_path, capsys):
+    g = cuntz_graph(1)
+    # neither a projection nor a contraction: every check fails at finite tolerances
+    rep = GraphRep(g, 1, {"v": np.array([[2.0]])}, {"e0": np.array([[3.0]])})
+    path = tmp_path / "bad.json"
+    save_problem(ProblemFile(g, None, rep, Tolerance()), path)
+    assert main(["validate", str(path)]) == 1
+    capsys.readouterr()
+    assert main(["validate", str(path), "--tol", "inf", "--eig-clip", "inf"]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- action shapes
+
+def _short_bucket_problem(tmp_path, with_rep: bool) -> str:
+    """Z2 on the Cuntz-2 graph whose bucket matrix is 1 x 1 instead of 2 x 2."""
+    obj = {
+        "graph": {"vertices": ["v"], "edges": [["e0", "v", "v"], ["e1", "v", "v"]]},
+        "action": {
+            "group": {"table": [[0, 1], [1, 0]]},
+            "vertex_perm": [{"v": "v"}, {"v": "v"}],
+            "bucket_unitaries": [
+                {"element": 1, "range": "v", "source": "v", "matrix": [[[1, 0]]]}
+            ],
+        },
+    }
+    if with_rep:
+        one, zero = [[[1, 0]]], [[[0, 0]]]
+        obj["representation"] = {"dim": 1, "proj": {"v": one},
+                                 "edge_op": {"e0": zero, "e1": zero},
+                                 "unitaries": [one, one]}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dilate", "--mode", "isometric"], ["dilate", "--mode", "cp"], ["induce"],
+], ids=["isometric", "cp", "induce"])
+def test_wrong_shape_bucket_matrix_exit_2(tmp_path, capsys, argv):
+    path = _short_bucket_problem(tmp_path, with_rep=True)
+    assert main(argv + [path]) == 2
+    assert "bucket matrix (1, 'v', 'v') has shape (1, 1), expected (2, 2)" in capsys.readouterr().err
+
+
+def test_wrong_shape_bucket_matrix_validate_note(tmp_path, capsys):
+    assert main(["validate", _short_bucket_problem(tmp_path, with_rep=False)]) == 1
+    out = capsys.readouterr().out
+    assert "action axioms: bucket matrix (1, 'v', 'v') has wrong shape" in out

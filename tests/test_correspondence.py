@@ -13,10 +13,8 @@ from corrdil import (
     delta_edge,
     delta_vertex,
     inner_product,
-    katsura_ideal_support,
     left_action,
     right_action,
-    theta,
 )
 from helpers import (
     cuntz_graph,
@@ -132,18 +130,3 @@ def test_unknown_ids_rejected():
         CorrElement(g, {"bogus": 1.0})
     with pytest.raises(Exception):
         CoeffElement(g, {"bogus": 1.0})
-
-
-def test_theta_holds_its_pair():
-    g = cuntz_graph(2)
-    k = theta(delta_edge(g, "e0"), delta_edge(g, "e1"))
-    assert len(k.terms) == 1
-
-
-# ---------------------------------------------------------------- Katsura support
-
-def test_katsura_support_examples():
-    assert katsura_ideal_support(cuntz_graph(2)) == ("v",)
-    g = DirectedGraph(("v", "w", "u"), (("a", "v", "w"), ("b", "w", "u")))
-    assert set(katsura_ideal_support(g)) == {"w", "u"}
-    assert "v" not in katsura_ideal_support(g)   # source-only vertex excluded

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,57 @@ def test_missing_bucket_matrix_rejected():
     group = FiniteGroup.cyclic(2)
     with pytest.raises(StructureError):
         GaugeAction(group, g, ({"v": "v"}, {"v": "v"}), {})
+
+
+def test_non_finite_bucket_matrix_rejected():
+    g = cuntz_graph(2)
+    with pytest.raises(StructureError, match=re.escape("bucket matrix (1, 'v', 'v')")):
+        GaugeAction(FiniteGroup.cyclic(2), g, ({"v": "v"}, {"v": "v"}),
+                    {(1, "v", "v"): np.array([[0.0, np.nan], [1.0, 0.0]])})
+
+
+# ---------------------------------------------------------------- edge unitaries
+
+def test_edge_unitaries_place_bucket_matrices():
+    a = z2_loop_swap(mixer=True)
+    H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    assert np.array_equal(a.edge_unitaries[0], np.eye(2))
+    assert np.array_equal(a.edge_unitaries[1], H)
+    graph, swap = z2_vertex_swap()              # e0: v0 -> v1, e1: v1 -> v0
+    assert np.array_equal(swap.edge_unitaries[1], np.array([[0, 1], [1, 0]]))
+
+
+def test_edge_unitaries_match_bucket_action():
+    # W_g delta_e is alpha_g(delta_e), read off bucket by bucket
+    graph, a = z3_cycle_rotation()
+    for g in range(a.group.order):
+        W = a.edge_unitaries[g]
+        assert np.allclose(W.conj().T @ W, np.eye(len(graph.edges)))
+        for j, e in enumerate(graph.edges):
+            v, w = a.perm_vertex(g, e.dst), a.perm_vertex(g, e.src)
+            (f,) = [i for i, x in enumerate(graph.edges) if (x.dst, x.src) == (v, w)]
+            assert W[f, j] == 1.0 and np.count_nonzero(W[:, j]) == 1
+
+
+def test_edge_unitaries_derived_and_read_only():
+    a = z2_loop_swap()
+    assert a.edge_unitaries is a.edge_unitaries
+    with pytest.raises(ValueError):
+        a.edge_unitaries[1][0, 0] = 5.0
+    with pytest.raises(AttributeError):
+        a.edge_unitaries = ()
+
+
+def test_edge_unitaries_reject_wrong_shape_lazily():
+    # construction succeeds so that verify_action can report the shape
+    g = cuntz_graph(2)
+    bad = GaugeAction(FiniteGroup.cyclic(2), g, ({"v": "v"}, {"v": "v"}),
+                      {(1, "v", "v"): np.array([[1.0]])})
+    assert "wrong shape" in verify_action(bad).reason
+    with pytest.raises(StructureError, match=re.escape("has shape (1, 1), expected (2, 2)")):
+        bad.edge_unitaries
+    with pytest.raises(StructureError):
+        act_on_element(bad, 1, delta_edge(g, "e0"))
 
 
 # ---------------------------------------------------------------- applying

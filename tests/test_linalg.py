@@ -16,14 +16,13 @@ from corrdil import (
     Subspace,
     Tolerance,
     as_cmatrix,
-    compress,
     defect_sqrt,
     is_psd,
     op_norm,
     orthonormal_closure,
     psd_sqrt,
 )
-from helpers import rng_for, random_unitary, sqrtm_psd
+from helpers import rng_for, sqrtm_psd
 
 
 # ---------------------------------------------------------------- op_norm
@@ -177,7 +176,7 @@ def test_defect_sqrt_accepts_norm_within_eps():
     assert abs(D[0, 0]) <= 1e-3
 
 
-# ---------------------------------------------------------------- Subspace / compress
+# ---------------------------------------------------------------- Subspace
 
 def test_subspace_requires_orthonormal_columns():
     with pytest.raises(ValueError):
@@ -191,25 +190,6 @@ def test_subspace_constructors():
     assert F.dim == 3
     G = Subspace.from_vectors(3, [np.array([2.0, 0.0, 0.0]), np.array([2.0, 1.0, 0.0])])
     assert G.dim == 2
-
-
-def test_compress_identity():
-    S = Subspace.coordinate(5, [0, 2, 4])
-    assert np.allclose(compress(np.eye(5), S), np.eye(3))
-
-
-def test_compress_dilation_corner_readoff():
-    M = np.array([[0.5, 0.0], [np.sqrt(3.0) / 2.0, 0.0]])
-    S = Subspace.coordinate(2, [0])
-    assert compress(M, S) == pytest.approx(np.array([[0.5]]))
-
-
-def test_compress_full_space_is_similarity():
-    rng = rng_for(904)
-    M = rng.standard_normal((4, 4))
-    Q = random_unitary(rng, 4)
-    S = Subspace(4, Q)
-    assert np.allclose(compress(M, S), Q.conj().T @ M @ Q)
 
 
 # ---------------------------------------------------------------- orthonormal_closure
@@ -257,6 +237,13 @@ def test_tolerance_dimension_cap():
     with pytest.raises(ResourceCapError):
         tol.check_dim(17)
     tol.check_dim(16)
+
+
+@pytest.mark.parametrize("field", ["eps", "eig_clip"])
+@pytest.mark.parametrize("value", [0.0, -1e-8, float("inf"), float("nan")])
+def test_tolerance_requires_finite_positive(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        Tolerance(**{field: value})
 
 
 def test_as_cmatrix_shape_errors():

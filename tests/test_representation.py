@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,19 +14,14 @@ from corrdil import (
     FiniteGroup,
     GaugeAction,
     GraphRep,
-    apply_rho,
+    StructureError,
     apply_t,
     ck_defect,
     covariance_defect,
     delta_edge,
-    delta_vertex,
     induced_regular_rep,
-    integrated_form,
     op_norm,
-    psi_t,
     row_contraction_check,
-    shift_ampliation,
-    theta,
     toeplitz_defect,
     trivial_action,
     validate,
@@ -109,6 +106,19 @@ def test_graphrep_structural_errors():
                  unitaries={0: np.eye(2)})                        # unitaries need action
 
 
+@pytest.mark.parametrize("field, key", [("proj", "v"), ("edge_op", "e0"), ("unitaries", 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_graphrep_rejects_non_finite_entries(field, key, bad):
+    a = z2_loop_swap()
+    parts = {"proj": {"v": np.eye(1)},
+             "edge_op": {"e0": np.zeros((1, 1)), "e1": np.zeros((1, 1))},
+             "unitaries": {0: np.eye(1), 1: np.eye(1)}}
+    parts[field][key] = np.array([[bad]])
+    where = f"{field}[{key!r}] has a non-finite entry"
+    with pytest.raises(StructureError, match=re.escape(where)):
+        GraphRep(a.graph, 1, action=a, **parts)
+
+
 # ---------------------------------------------------------------- applying
 
 def test_apply_t_point_mass_and_linearity():
@@ -132,14 +142,6 @@ def test_apply_t_gauge_equivariance():
         u = rep.unitaries[1]
         rhs = u @ apply_t(rep, x) @ u.conj().T
         assert op_norm(lhs - rhs) <= 1e-12
-
-
-def test_apply_rho_resolution():
-    rep = two_cycle_isometric()
-    g = rep.graph
-    unit = sum((apply_rho(rep, delta_vertex(g, v)) for v in g.vertices),
-               start=np.zeros((2, 2), dtype=complex))
-    assert np.allclose(unit, np.eye(2))
 
 
 # ---------------------------------------------------------------- contraction checks
@@ -210,21 +212,6 @@ def test_covariance_defect_requires_action():
         covariance_defect(loop_rep(0.5))
 
 
-# ---------------------------------------------------------------- psi_t
-
-def test_psi_t_examples():
-    rep = two_cycle_isometric()
-    g = rep.graph
-    k = theta(delta_edge(g, "e0"), delta_edge(g, "e0"))
-    T = rep.edge_op["e0"]
-    assert np.allclose(psi_t(rep, k), T @ T.conj().T)
-    from corrdil import FiniteRankOp
-    assert np.allclose(psi_t(rep, FiniteRankOp(())), np.zeros((2, 2)))
-    # CK representation: psi of the fiber sum over r^{-1}(v) is rho(delta_v)
-    fiber_sum = psi_t(rep, theta(delta_edge(g, "e0"), delta_edge(g, "e0")))
-    assert np.allclose(fiber_sum, rep.proj["v1"])
-
-
 # ---------------------------------------------------------------- induced rep
 
 def test_induced_trivial_group_is_identity():
@@ -270,71 +257,3 @@ def test_reinduced_rep_still_covariant():
     ind2 = induced_regular_rep(ind, a)
     assert ind2.dim == 4
     assert covariance_defect(ind2) <= 1e-13
-
-
-# ---------------------------------------------------------------- integrated form
-
-def test_integrated_form_point_mass():
-    rep = two_cycle_isometric()
-    g = rep.graph
-    f = {0: delta_edge(g, "e0")}
-    assert np.allclose(integrated_form(rep, f), rep.edge_op["e0"])
-    assert np.allclose(integrated_form(rep, {}), np.zeros((2, 2)))
-
-
-def test_integrated_form_requires_action():
-    with pytest.raises(ConfigurationError):
-        integrated_form(loop_rep(0.5), {})
-
-
-def test_integrated_form_star_product_in_crossed_span():
-    # (I_f)* (I_f) lies in span{ rho(delta_v) u(s) } for a Toeplitz
-    # covariant representation; checked by least-squares projection.
-    rep = two_cycle_isometric()
-    g = rep.graph
-    rng = rng_for(933)
-    for _ in range(5):
-        f = {
-            s: CorrElement(g, {e.eid: complex(rng.standard_normal(), rng.standard_normal())
-                               for e in g.edges})
-            for s in range(2)
-        }
-        F = integrated_form(rep, f)
-        M = F.conj().T @ F
-        basis = []
-        for v in g.vertices:
-            for s in range(2):
-                basis.append((rep.proj[v] @ rep.unitaries[s]).reshape(-1))
-        A = np.array(basis).T
-        coeffs, *_ = np.linalg.lstsq(A, M.reshape(-1), rcond=None)
-        residual = np.linalg.norm(A @ coeffs - M.reshape(-1))
-        assert residual <= 1e-8
-
-
-# ---------------------------------------------------------------- ampliation
-
-def test_shift_ampliation_truncated():
-    rep = loop_rep(1.0)
-    amp = shift_ampliation(rep, 2, mode="truncated")
-    assert np.allclose(amp.edge_op["l"], np.array([[0.0, 0.0], [1.0, 0.0]]))
-    assert toeplitz_defect(amp) > 0.5
-
-
-def test_shift_ampliation_cyclic_preserves_isometry():
-    rep = two_cycle_isometric()
-    base = GraphRep(rep.graph, rep.dim, rep.proj, rep.edge_op)   # drop the action
-    amp = shift_ampliation(base, 3, mode="cyclic")
-    assert amp.dim == 6
-    assert toeplitz_defect(amp) == pytest.approx(toeplitz_defect(base), abs=1e-12)
-
-
-def test_shift_ampliation_zero_rep():
-    amp = shift_ampliation(zero_rep(cuntz_graph(2), 2), 2)
-    assert all(op_norm(T) == 0.0 for T in amp.edge_op.values())
-
-
-def test_shift_ampliation_rejects_small_n():
-    with pytest.raises(ValueError):
-        shift_ampliation(loop_rep(0.5), 1)
-    with pytest.raises(ValueError):
-        shift_ampliation(loop_rep(0.5), 2, mode="bogus")
