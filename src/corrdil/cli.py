@@ -159,7 +159,9 @@ def _flag(name: str, ok: bool) -> CheckLine:
     return CheckLine(name, 1.0 if ok else 0.0, None, bool(ok))
 
 
-def _structure_checks(pf: ProblemFile, tol: Tolerance, report: Report) -> None:
+def _structure_checks(pf: ProblemFile, tol: Tolerance, report: Report) -> bool:
+    """Graph and action checks; returns whether the action (if any) passed
+    its axioms, without which the covariance defect is not defined."""
     g = pf.graph
     report.checks.append(_info("graph.vertex-count", len(g.vertices)))
     report.checks.append(_info("graph.edge-count", len(g.edges)))
@@ -176,9 +178,12 @@ def _structure_checks(pf: ProblemFile, tol: Tolerance, report: Report) -> None:
         report.checks.append(_flag("action.module-automorphism-axioms", ares.ok))
         if not ares.ok:
             report.notes.append(f"action axioms: {ares.reason}")
+        return ares.ok
+    return True
 
 
-def _representation_checks(rep: GraphRep, tol: Tolerance, report: Report) -> None:
+def _representation_checks(rep: GraphRep, tol: Tolerance, report: Report,
+                           covariance: bool = True) -> None:
     report.checks.extend(validate(rep, tol).checks)
     row = row_contraction_check(rep, tol)
     for vc in row.per_vertex:
@@ -187,8 +192,10 @@ def _representation_checks(rep: GraphRep, tol: Tolerance, report: Report) -> Non
         )
     report.checks.append(_info("toeplitz-defect", toeplitz_defect(rep)))
     report.checks.append(_info("ck-defect", ck_defect(rep)))
-    if rep.covariant:
+    if rep.covariant and covariance:
         report.checks.append(_info("covariance-defect", covariance_defect(rep)))
+    elif rep.covariant:
+        report.notes.append("covariance-defect not measured: the action failed its checks")
 
 
 def _gating_failures(rep: GraphRep, tol: Tolerance) -> Report | None:
@@ -213,11 +220,11 @@ def cmd_validate(args) -> Report:
     pf = load_problem(args.file)
     tol = _merge_tol(pf.tolerance, args)
     report = Report(command=f"validate {args.file}")
-    _structure_checks(pf, tol, report)
+    action_ok = _structure_checks(pf, tol, report)
     if pf.representation is None:
         report.notes.append("no representation block: graph/action checks only")
     else:
-        _representation_checks(pf.representation, tol, report)
+        _representation_checks(pf.representation, tol, report, covariance=action_ok)
     return report
 
 

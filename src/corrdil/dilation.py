@@ -16,8 +16,8 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _defect_factor,
     as_cmatrix,
-    defect_sqrt,
     op_norm,
     orthonormal_closure,
     psd_sqrt,
@@ -133,16 +133,26 @@ def _require_row_contraction(rep: GraphRep, tol: Tolerance) -> None:
 
 
 def one_step_isometric(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
-    """One isometric dilation step on H + (X tensor H).
+    """One isometric dilation step on H + D, D the range of the defect
+    I - ttilde* ttilde of the row ttilde: X tensor H -> H.
 
     X tensor H is modeled concretely as one summand range(proj(s(e))) per
     edge, in edge order: the inner product <delta_e, delta_f> = delta_ef
     delta_s(e) collapses the generic tensor product to exactly that sum.
-    The defect square root (I - ttilde* ttilde)^{1/2} is computed one range
-    fiber at a time: module covariance makes the cross-fiber blocks of
-    ttilde* ttilde vanish, and a full-matrix square root would smear their
-    rounding noise into O(sqrt(eps)) couplings that break the fiber grading
-    the dilated projections rely on.
+    The defect is factored one range fiber v at a time: module covariance
+    makes the cross-fiber blocks of ttilde* ttilde vanish, and one factor of
+    the whole matrix would mix their rounding noise into the fiber grading
+    the dilated projections rely on.  The eigenvectors K_v of v's block with
+    eigenvalue w above tol.eig_clip span v's new summand, on which proj(v)
+    is the identity, and t(e) picks up the rows C_v = diag(sqrt(w)) K_v* on
+    e's columns.  Iterating the step therefore
+    builds the truncated Fock tower H + sum_k X^{tensor k} tensor D of the
+    minimal isometric dilation (Muhly-Solel): after the first step the
+    defect lives only on the last layer.  The dropped eigenvalues are
+    <= eig_clip, which bounds the corner Toeplitz defect by eig_clip plus
+    rounding.  A gauge unitary acts on the new summand as K* Utilde_g K,
+    Utilde_g its action on X tensor H, which commutes with the defect and so
+    leaves D invariant.
     """
     _require_row_contraction(rep, tol)
     graph, d = rep.graph, rep.dim
@@ -153,53 +163,60 @@ def one_step_isometric(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationS
         offsets[e.eid] = (pos, pos + size)
         pos += size
     m = pos
-    new_dim = d + m
-    tol.check_dim(new_dim)
 
     ttilde = np.zeros((d, m), dtype=complex)
     for e in graph.edges:
         lo, hi = offsets[e.eid]
         ttilde[:, lo:hi] = rep.edge_op[e.eid] @ basis[e.src]
-    D = np.zeros((m, m), dtype=complex)
+    factors = []
     for v in graph.vertices:
-        fiber = range_fiber(graph, v)
-        if not fiber:
-            continue
-        idx = np.concatenate([np.arange(*offsets[e]) for e in fiber])
-        if idx.size == 0:
-            continue
-        D[np.ix_(idx, idx)] = defect_sqrt(ttilde[:, idx], tol)
+        idx = [i for e in range_fiber(graph, v) for i in range(*offsets[e])]
+        if idx:
+            s, K = _defect_factor(ttilde[:, idx], tol.eig_clip, tol)
+            factors.append((v, idx, s[s > 0], K[:, s > 0]))
+    r = sum(s.size for _, _, s, _ in factors)
+    new_dim = d + r
+    tol.check_dim(new_dim)
+    # K: orthonormal columns spanning D inside X tensor H; C = diag(sqrt(w)) K*
+    K = np.zeros((m, r), dtype=complex)
+    C = np.zeros((r, m), dtype=complex)
+    span, col = {}, 0
+    for v, idx, s, Kv in factors:
+        span[v] = slice(d + col, d + col + s.size)
+        K[idx, col:col + s.size] = Kv
+        C[col:col + s.size, idx] = s[:, None] * Kv.conj().T
+        col += s.size
 
     edge_op = {}
     for e in graph.edges:
         T1 = np.zeros((new_dim, new_dim), dtype=complex)
         T1[:d, :d] = rep.edge_op[e.eid]
         lo, hi = offsets[e.eid]
-        T1[d:, :d] = D[:, lo:hi] @ basis[e.src].conj().T
+        T1[d:, :d] = C[:, lo:hi] @ basis[e.src].conj().T
         edge_op[e.eid] = T1
     proj = {}
     for v in graph.vertices:
         P1 = np.zeros((new_dim, new_dim), dtype=complex)
         P1[:d, :d] = rep.proj[v]
-        for e in graph.edges:
-            if e.dst == v:
-                lo, hi = offsets[e.eid]
-                P1[d + lo:d + hi, d + lo:d + hi] = np.eye(hi - lo)
+        if v in span:
+            P1[span[v], span[v]] = np.eye(span[v].stop - span[v].start)
         proj[v] = P1
     unitaries = None
     if rep.covariant:
         unitaries = {}
         for g, W in enumerate(rep.action.edge_unitaries):
-            U1 = np.zeros((new_dim, new_dim), dtype=complex)
-            U1[:d, :d] = rep.unitaries[g]
+            Ut = np.zeros((m, m), dtype=complex)
             for j, e in enumerate(graph.edges):
                 lo, hi = offsets[e.eid]
                 for i, f in enumerate(graph.edges):
                     if W[i, j] != 0:
                         flo, fhi = offsets[f.eid]
-                        U1[d + flo:d + fhi, d + lo:d + hi] = W[i, j] * (
+                        Ut[flo:fhi, lo:hi] = W[i, j] * (
                             basis[f.src].conj().T @ rep.unitaries[g] @ basis[e.src]
                         )
+            U1 = np.zeros((new_dim, new_dim), dtype=complex)
+            U1[:d, :d] = rep.unitaries[g]
+            U1[d:, d:] = K.conj().T @ Ut @ K
             unitaries[g] = U1
     rep_after = GraphRep(graph, new_dim, proj, edge_op,
                          action=rep.action, unitaries=unitaries)

@@ -133,6 +133,8 @@ def verify_group(g: FiniteGroup) -> CheckResult:
 class GaugeAction:
     """Vertex permutations plus per-bucket unitaries, one set per element.
 
+    Each vertex_perm map must be a bijection of graph.vertices.
+
     bucket_unitary maps (element index, range vertex v, source vertex w) to
     the matrix carrying coefficients on E(v, w) (input edge order) to
     coefficients on E(alpha_g v, alpha_g w); buckets related by a group
@@ -149,6 +151,12 @@ class GaugeAction:
         perms = tuple(dict(p) for p in self.vertex_perm)
         if len(perms) != self.group.order:
             raise StructureError("one vertex permutation per group element required")
+        vset = set(self.graph.vertices)
+        for gi, p in enumerate(perms):
+            if set(p) != vset or set(p.values()) != vset:
+                raise StructureError(
+                    f"vertex_perm[{gi}] is not a bijection of the graph's vertices"
+                )
         units = {}
         for (gi, v, w), U in self.bucket_unitary.items():
             U = as_cmatrix(U)
@@ -230,11 +238,6 @@ def verify_action(a: GaugeAction, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     if not group_ok:
         return CheckResult(False, f"group: {group_ok.reason}")
     g_ids = range(a.group.order)
-    vset = set(a.graph.vertices)
-    for gi in g_ids:
-        perm = a.vertex_perm[gi]
-        if set(perm.keys()) != vset or set(perm.values()) != vset:
-            return CheckResult(False, f"element {gi}: vertex map is not a permutation")
     e = a.group.identity
     if any(a.vertex_perm[e][v] != v for v in a.graph.vertices):
         return CheckResult(False, "identity element moves a vertex")

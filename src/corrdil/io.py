@@ -196,9 +196,14 @@ def _action_from_json(obj, graph: DirectedGraph, path: str) -> GaugeAction:
     perms = _need(obj, "vertex_perm", list, path)
     if len(perms) != group.order:
         raise ParseError(f"{path}.vertex_perm: expected {group.order} entries")
+    vset = set(graph.vertices)
     for i, p in enumerate(perms):
         if not isinstance(p, dict):
             raise ParseError(f"{path}.vertex_perm[{i}]: expected an object")
+        if set(p) != vset or {x for x in p.values() if isinstance(x, str)} != vset:
+            raise ParseError(
+                f"{path}.vertex_perm[{i}]: expected a bijection of the graph's vertices"
+            )
     units = {}
     for i, entry in enumerate(obj.get("bucket_unitaries", [])):
         where = f"{path}.bucket_unitaries[{i}]"

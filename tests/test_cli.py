@@ -323,3 +323,43 @@ def test_wrong_shape_bucket_matrix_validate_note(tmp_path, capsys):
     assert main(["validate", _short_bucket_problem(tmp_path, with_rep=False)]) == 1
     out = capsys.readouterr().out
     assert "action axioms: bucket matrix (1, 'v', 'v') has wrong shape" in out
+
+
+def test_validate_skips_covariance_after_failed_action_check(tmp_path, capsys):
+    assert main(["validate", _short_bucket_problem(tmp_path, with_rep=True)]) == 1
+    out = capsys.readouterr().out
+    assert "action axioms: bucket matrix (1, 'v', 'v') has wrong shape" in out
+    assert "note: covariance-defect not measured" in out
+    assert "toeplitz-defect" in out
+
+
+# ---------------------------------------------------------------- vertex maps
+
+def _partial_perm_problem(tmp_path) -> str:
+    """Z2 on a 2-vertex graph whose element 1 maps only v."""
+    pv = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+    pw = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    obj = {
+        "graph": {"vertices": ["v", "w"], "edges": [["e0", "v", "w"]]},
+        "action": {
+            "group": {"table": [[0, 1], [1, 0]]},
+            "vertex_perm": [{"v": "v", "w": "w"}, {"v": "v"}],
+            "bucket_unitaries": [
+                {"element": 1, "range": "w", "source": "v", "matrix": [[[1, 0]]]}
+            ],
+        },
+        "representation": {"dim": 2, "proj": {"v": pv, "w": pw}, "edge_op": {"e0": zero},
+                           "unitaries": [eye, eye]},
+    }
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["dilate", "--mode", "cp"]],
+                         ids=["validate", "cp"])
+def test_partial_vertex_perm_exit_2(tmp_path, capsys, argv):
+    assert main(argv + [_partial_perm_problem(tmp_path)]) == 2
+    assert "action.vertex_perm[1]" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corrdil import (
+    DEFAULT_TOL,
     ContractivityError,
     DirectedGraph,
     FiniteGroup,
@@ -42,6 +43,7 @@ from helpers import (
     rng_for,
     unitary_cycle_oracle,
     z2_loop_swap,
+    z3_loop_rotation,
     zero_rep,
 )
 from test_representation import loop_rep, two_cycle_isometric
@@ -121,6 +123,16 @@ def test_isometric_step_preserves_covariance():
     step = one_step_isometric(rep)
     assert step.rep_after.covariant
     assert covariance_defect(step.rep_after) <= 1e-7
+
+
+@pytest.mark.parametrize("lam, new_dim", [(2.0, 2), (0.5, 1)], ids=["above", "below"])
+def test_isometric_step_rank_decision_at_eig_clip(lam, new_dim):
+    # the defect of t = sqrt(1 - lam * eig_clip) is lam * eig_clip: the new
+    # summand appears exactly when the defect eigenvalue exceeds eig_clip
+    clip = DEFAULT_TOL.eig_clip
+    step = one_step_isometric(loop_rep(np.sqrt(1.0 - lam * clip)))
+    assert step.new_dim == new_dim
+    assert toeplitz_defect(step.rep_after, step.embed) <= clip
 
 
 # ---------------------------------------------------------------- one_step_ck
@@ -314,6 +326,28 @@ def test_coextension_word_norms_match_module_values():
             assert abs(got - want) <= 1e-7 * scale
 
 
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_coextension_single_loop_is_the_schaffer_tower(seed):
+    # one loop, d = 3: each step adds one copy of the defect's range, so the
+    # stages are 3(k + 1) and the reduction finds nothing to remove
+    rep = random_cc_rep(rng_for(seed), cuntz_graph(1), dim=3)
+    report = iterate_coextension(rep, n_steps=8)
+    assert report.converged
+    assert [s.new_dim for s in report.steps] == [3 * (k + 1) for k in range(1, 9)] + [27]
+    assert report.final_rep.dim == 27
+
+
+@pytest.mark.parametrize("loops, d, n, final", [(2, 2, 5, 126), (3, 2, 3, 80)])
+def test_coextension_is_the_truncated_fock_tower(loops, d, n, final):
+    # d * sum_{j <= n} loops**j: H plus n layers of X^{tensor k} tensor D
+    rep = random_cc_rep(rng_for(948), cuntz_graph(loops), dim=d)
+    report = iterate_coextension(rep, n_steps=n)
+    assert report.converged
+    stage_dims = [d * sum(loops ** j for j in range(k + 1)) for k in range(1, n + 1)]
+    assert [s.new_dim for s in report.steps] == stage_dims + [final]
+    assert report.final_rep.dim == final
+
+
 def test_coextension_capped_reports_partial():
     rep = zero_rep(cuntz_graph(3), 4)
     report = iterate_coextension(rep, n_steps=5, tol=Tolerance(max_dim=20))
@@ -393,6 +427,15 @@ def test_cp_dilate_cycle_against_unitary_oracle():
         lhs = E.conj().T @ report.final_rep.edge_op[f"e{j}"] @ report.final_rep.edge_op[f"e{i}"] @ E
         rhs = embed_o.conj().T @ edge_o[f"e{j}"] @ edge_o[f"e{i}"] @ embed_o
         assert op_norm(lhs - rhs) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cp_dilate_keeps_covariance_of_induced_rep(seed):
+    a = z3_loop_rotation()
+    rep = induced_regular_rep(random_cc_rep(rng_for(seed), a.graph, 2), a)
+    report = cp_dilate(rep, 8)
+    assert report.converged
+    assert covariance_defect(report.final_rep) <= DEFAULT_TOL.eps
 
 
 def test_cp_dilate_capped():

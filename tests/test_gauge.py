@@ -100,6 +100,14 @@ def test_missing_bucket_matrix_rejected():
         GaugeAction(group, g, ({"v": "v"}, {"v": "v"}), {})
 
 
+@pytest.mark.parametrize("perm", [{"v": "v"}, {"v": "v", "w": "v"}, {"v": "w", "w": "u"}],
+                         ids=["partial", "not-injective", "outside"])
+def test_vertex_perm_must_be_a_bijection(perm):
+    g = DirectedGraph(("v", "w"), ())
+    with pytest.raises(StructureError, match=re.escape("vertex_perm[1]")):
+        GaugeAction(FiniteGroup.cyclic(2), g, ({"v": "v", "w": "w"}, perm), {})
+
+
 def test_non_finite_bucket_matrix_rejected():
     g = cuntz_graph(2)
     with pytest.raises(StructureError, match=re.escape("bucket matrix (1, 'v', 'v')")):

@@ -161,6 +161,18 @@ def test_negative_zero_round_trips_byte_identical():
     assert problem_text(parse_problem(text)) == text
 
 
+@pytest.mark.parametrize("perm", [{"v": "v"}, {"v": "w", "w": "w"}, {"v": "w", "w": 0}],
+                         ids=["partial", "not-injective", "non-string"])
+def test_vertex_perm_must_be_a_bijection(perm):
+    text = json.dumps({
+        "graph": {"vertices": ["v", "w"], "edges": []},
+        "action": {"group": {"table": [[0, 1], [1, 0]]},
+                   "vertex_perm": [{"v": "v", "w": "w"}, perm]},
+    })
+    with pytest.raises(ParseError, match=re.escape("action.vertex_perm[1]")):
+        parse_problem(text)
+
+
 def test_rep_dimension_mismatch():
     text = json.dumps({
         "graph": {"vertices": ["v"], "edges": [["l", "v", "v"]]},
