@@ -6,21 +6,28 @@ machine-checkable corner guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import ContractivityError, DimensionError, ResourceCapError, StructureError
+from .exceptions import (
+    ContractivityError,
+    DimensionError,
+    PositivityError,
+    ResourceCapError,
+    StructureError,
+)
 from .graph import edge_bucket, finite_receivers, range_fiber
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
     _defect_factor,
+    _eigen_factor,
     as_cmatrix,
+    is_psd,
     op_norm,
     orthonormal_closure,
-    psd_sqrt,
 )
 from .representation import (
     GraphRep,
@@ -50,10 +57,12 @@ class DilationStep:
 
     embed always expresses the smaller of the two spaces inside the larger:
     for the dilation kinds it is the input space inside the output
-    (new_dim x old_dim), for a compression it is the retained output space
-    inside the input (old_dim x new_dim).  Either way embed* embed = I on the
-    smaller side, and compressing rep_after (resp. the input) by embed
-    recovers the other representation's operators.
+    (new_dim x old_dim), for a compression (what minimal_reduce returns) it
+    is the retained output space inside the input (old_dim x new_dim).
+    Either way embed* embed = I on the smaller side, and compressing
+    rep_after (resp. the input) by embed recovers the other representation's
+    operators.  The pipelines build no compression step: their "compression"
+    stage rows measure the last step's output on the original space.
     """
 
     kind: str
@@ -82,8 +91,9 @@ class StageRecord:
 
     toeplitz/ck/covariance are the raw defects of the full stage output;
     corner_toeplitz/corner_ck are the same defects compressed to the previous
-    stage's space (for a compression stage: to the pipeline's original
-    space), which is where the stage guarantees live.
+    stage's space, which is where the stage guarantees live.  A
+    "compression" row repeats the full defects of the row before it (the
+    same representation) and compresses to the pipeline's original space.
     """
 
     kind: str
@@ -226,51 +236,61 @@ def one_step_isometric(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationS
 
 
 def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
-    """One Cuntz-Krieger dilation step.
+    """One Cuntz-Krieger dilation step, sized by the ranges of the defects.
 
-    For each finite receiver v the defect operator
-    Delta_v = |r^{-1}(v)|^{-1/2} (proj(v) - sum_e t(e)t(e)*)^{1/2} is computed
-    in coordinates of H_v = range(proj(v)) (the defect is supported there),
-    and each pair (v, w) with a nonempty bucket E(v, w) contributes a summand
-    H_v tensor [E(v, w)] attached to vertex w.  The new edge operator picks
-    up the column Delta_v tau(e) with tau(e)(h tensor xi) = <delta_e, xi> h,
-    which restores the Cuntz-Krieger sum at every finite receiver on the
-    original corner.
+    For each finite receiver v the defect proj(v) - sum_e t(e)t(e)* is
+    compressed to H_v = range(proj(v)), where it is supported, checked
+    positive (PositivityError otherwise) and factored: the eigenvectors K_v
+    with eigenvalue w above tol.eig_clip span ran(Delta_v), Delta_v =
+    |r^{-1}(v)|^{-1/2} (proj(v) - sum_e t(e)t(e)*)^{1/2}.  Each pair (v, w)
+    with a nonempty bucket E(v, w) contributes a summand ran(Delta_v) tensor
+    [E(v, w)] attached to vertex w, and t(e) picks up the column block
+    K_v diag(sqrt(w / |r^{-1}(v)|)) there, which restores the Cuntz-Krieger
+    sum at every finite receiver on the original corner up to the dropped
+    eigenvalues, each <= eig_clip.  Every new direction is the image of H
+    under some t(e)*, so the step adds nothing a minimal reduction would
+    remove.  A gauge unitary acts on the new summands as
+    conj(bucket) tensor K_{gv}* u_g K_v.
     """
     _require_row_contraction(rep, tol)
     graph, d = rep.graph, rep.dim
     basis = _vertex_basis(rep)
     vfin = finite_receivers(graph)
-    pairs = [
-        (v, w) for v in vfin for w in graph.vertices if edge_bucket(graph, v, w)
-    ]
-    offsets, pos = {}, d
-    for (v, w) in pairs:
-        size = basis[v].shape[1] * len(edge_bucket(graph, v, w))
-        offsets[(v, w)] = (pos, pos + size)
-        pos += size
-    new_dim = pos
-    tol.check_dim(new_dim)
-
-    delta = {}
+    K, col = {}, {}
     for v in vfin:
         fiber = range_fiber(graph, v)
         defect = rep.proj[v].copy()
         for e in fiber:
             defect -= rep.edge_op[e] @ rep.edge_op[e].conj().T
         A = basis[v].conj().T @ defect @ basis[v]
-        delta[v] = psd_sqrt(A, tol) / np.sqrt(len(fiber))
+        if not is_psd(A, tol):
+            raise PositivityError(
+                f"Cuntz-Krieger defect at vertex {v!r} is not positive semidefinite"
+            )
+        s, V = _eigen_factor(A, tol.eig_clip)
+        K[v] = basis[v] @ V[:, s > 0]
+        col[v] = K[v] * (s[s > 0] / np.sqrt(len(fiber)))
+    pairs = [
+        (v, w) for v in vfin for w in graph.vertices if edge_bucket(graph, v, w)
+    ]
+    offsets, pos = {}, d
+    for (v, w) in pairs:
+        size = K[v].shape[1] * len(edge_bucket(graph, v, w))
+        offsets[(v, w)] = (pos, pos + size)
+        pos += size
+    new_dim = pos
+    tol.check_dim(new_dim)
 
     edge_op = {}
     for e in graph.edges:
         T1 = np.zeros((new_dim, new_dim), dtype=complex)
         T1[:d, :d] = rep.edge_op[e.eid]
-        if e.dst in delta:
+        if e.dst in col:
             v, w = e.dst, e.src
-            dv = basis[v].shape[1]
+            rv = K[v].shape[1]
             j = edge_bucket(graph, v, w).index(e.eid)
-            lo = offsets[(v, w)][0] + j * dv
-            T1[:d, lo:lo + dv] = basis[v] @ delta[v]
+            lo = offsets[(v, w)][0] + j * rv
+            T1[:d, lo:lo + rv] = col[v]
         edge_op[e.eid] = T1
     proj = {}
     for u in graph.vertices:
@@ -296,11 +316,10 @@ def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
                     )
                 lo, hi = offsets[(v, w)]
                 alo, ahi = offsets[(av, aw)]
-                block = np.kron(
+                U1[alo:ahi, lo:hi] = np.kron(
                     a.bucket_matrix(g, v, w).conj(),
-                    basis[av].conj().T @ rep.unitaries[g] @ basis[v],
+                    K[av].conj().T @ rep.unitaries[g] @ K[v],
                 )
-                U1[alo:ahi, lo:hi] = block
             unitaries[g] = U1
     rep_after = GraphRep(graph, new_dim, proj, edge_op,
                          action=rep.action, unitaries=unitaries)
@@ -336,17 +355,30 @@ def minimal_reduce(rep: GraphRep, seed: Subspace, tol: Tolerance = DEFAULT_TOL) 
     return DilationStep("compression", rep.dim, space.dim, B, rep_after)
 
 
-def _stage_record(step: DilationStep, corner_embed) -> StageRecord:
-    rep = step.rep_after
+def _stage_record(kind: str, rep: GraphRep, corner_embed) -> StageRecord:
     cov = covariance_defect(rep) if rep.covariant else None
     return StageRecord(
-        kind=step.kind,
-        new_dim=step.new_dim,
+        kind=kind,
+        new_dim=rep.dim,
         toeplitz=toeplitz_defect(rep),
         ck=ck_defect(rep),
         covariance=cov,
         corner_toeplitz=toeplitz_defect(rep, corner_embed),
         corner_ck=ck_defect(rep, corner_embed),
+    )
+
+
+def _compression_record(stages: list, rep: GraphRep, embed) -> StageRecord:
+    """The "compression" row: rep, the last stage's output, with its corner
+    on the pipeline's original space (embed).  Its full defects are the last
+    row's, which measured the same representation."""
+    if not stages:
+        return _stage_record("compression", rep, embed)
+    return replace(
+        stages[-1],
+        kind="compression",
+        corner_toeplitz=toeplitz_defect(rep, embed),
+        corner_ck=ck_defect(rep, embed),
     )
 
 
@@ -361,24 +393,25 @@ def _run_steps(rep: GraphRep, constructions, tol: Tolerance, stages: list):
             step = construct(current, tol)
         except ResourceCapError:
             return current, E, True
-        stages.append(_stage_record(step, step.embed))
+        stages.append(_stage_record(step.kind, step.rep_after, step.embed))
         E = step.embed @ E
         current = step.rep_after
     return current, E, False
 
 
 def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
-    """n isometric steps followed by the minimal reduction seeded with the
-    original space.  Guarantee per stage: the Toeplitz defect compressed to
-    the previous stage's space is <= tol.eps."""
+    """n isometric steps, closed by a "compression" row that measures the
+    last stage on the original space.  The steps build the truncated Fock
+    tower, which the original space generates, so no reduction runs: the
+    final representation is the last step's output and embed the composed
+    step embeds.  Guarantee per stage: the Toeplitz defect compressed to the
+    previous stage's space is <= tol.eps."""
     _require_row_contraction(rep, tol)
     stages: list[StageRecord] = []
     current, E, capped = _run_steps(rep, [one_step_isometric] * int(n_steps), tol, stages)
-    red = minimal_reduce(current, Subspace(current.dim, E), tol)
-    E = red.embed.conj().T @ E
-    stages.append(_stage_record(red, E))
+    stages.append(_compression_record(stages, current, E))
     converged = not capped and all(s.corner_toeplitz <= tol.eps for s in stages)
-    return PipelineReport(tuple(stages), converged, red.rep_after, E, capped)
+    return PipelineReport(tuple(stages), converged, current, E, capped)
 
 
 def iterate_ck(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
@@ -392,10 +425,13 @@ def iterate_ck(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> Pip
 
 
 def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
-    """Rounds of (Cuntz-Krieger step, isometric step, minimal reduction)
+    """Rounds of (Cuntz-Krieger step, isometric step, "compression" row)
     until the Toeplitz and Cuntz-Krieger defects, compressed to the previous
     round's space, both fall below tol.eps.
 
+    Both steps add only directions the round's input generates under t and
+    t*, so no reduction runs: each round's output is its isometric step's,
+    and the compression row measures it on the pipeline's original space.
     The stopping rule is a finite-stage surrogate for the limit object: each
     round certifies both relations on the corner carried forward from the
     round before.
@@ -410,11 +446,9 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
         dilated, E_round, capped = _run_steps(current, (one_step_ck, one_step_isometric), tol, stages)
         if capped:
             return PipelineReport(tuple(stages), False, current, E_orig, True)
-        red = minimal_reduce(dilated, Subspace(dilated.dim, E_round), tol)
-        E_round = red.embed.conj().T @ E_round
-        current = red.rep_after
+        current = dilated
         E_orig = E_round @ E_orig
-        stages.append(_stage_record(red, E_orig))
+        stages.append(_compression_record(stages, current, E_orig))
         if toeplitz_defect(current, E_round) <= tol.eps and ck_defect(current, E_round) <= tol.eps:
             return PipelineReport(tuple(stages), True, current, E_orig, False)
     return PipelineReport(tuple(stages), False, current, E_orig, False)

@@ -12,6 +12,7 @@ from corrdil import (
     FiniteGroup,
     GaugeAction,
     GraphRep,
+    PositivityError,
     ResourceCapError,
     Subspace,
     Tolerance,
@@ -43,6 +44,7 @@ from helpers import (
     rng_for,
     unitary_cycle_oracle,
     z2_loop_swap,
+    z3_cycle_rotation,
     z3_loop_rotation,
     zero_rep,
 )
@@ -219,6 +221,42 @@ def test_ck_step_preserves_covariance_under_phase_action():
     assert covariance_defect(rep) <= 1e-12
     assert covariance_defect(one_step_ck(rep).rep_after) <= 1e-7
     assert covariance_defect(cp_dilate(rep, max_rounds=8).final_rep) <= 1e-7
+
+
+@pytest.mark.parametrize("lam, new_dim", [(2.0, 2), (0.5, 1)], ids=["above", "below"])
+def test_ck_step_rank_decision_at_eig_clip(lam, new_dim):
+    # the CK defect of t = sqrt(1 - lam * eig_clip) is lam * eig_clip: the new
+    # summand appears exactly when the defect eigenvalue exceeds eig_clip
+    clip = DEFAULT_TOL.eig_clip
+    step = one_step_ck(loop_rep(np.sqrt(1.0 - lam * clip)))
+    assert step.new_dim == new_dim
+    assert ck_defect(step.rep_after, step.embed) <= clip
+
+
+def test_ck_step_rejects_non_psd_defect():
+    # w -> v with rho(delta_w) = 2 on its coordinate: the row check against
+    # the source passes, but proj(v) - t t* = -0.44 on H_v
+    g = DirectedGraph(("v", "w"), (("e", "w", "v"),))
+    proj = {"v": np.diag([1.0, 0.0]), "w": np.diag([0.0, 2.0])}
+    rep = GraphRep(g, 2, proj, {"e": np.array([[0.0, 1.2], [0.0, 0.0]])})
+    with pytest.raises(PositivityError):
+        one_step_ck(rep)
+
+
+def rank_deficient_cuntz2() -> GraphRep:
+    # t(e0) = t(e1) = diag(1/sqrt 2, 1/2): Delta_v^2 = diag(0, 1/2) has rank 1
+    T = np.diag([1.0 / np.sqrt(2.0), 0.5])
+    return GraphRep(cuntz_graph(2), 2, {"v": np.eye(2)}, {"e0": T, "e1": T})
+
+
+def test_ck_step_sized_by_defect_range():
+    rep = rank_deficient_cuntz2()
+    assert [s.new_dim for s in iterate_ck(rep, 2).steps] == [4, 8]
+    report = cp_dilate(rep, max_rounds=8)
+    assert report.converged
+    assert [(s.kind, s.new_dim) for s in report.steps] == [
+        ("ck-step", 4), ("isometric-step", 10), ("compression", 10)
+    ]
 
 
 # ---------------------------------------------------------------- iterate_ck
@@ -443,6 +481,40 @@ def test_cp_dilate_capped():
     report = cp_dilate(rep, max_rounds=4, tol=Tolerance(max_dim=24))
     assert report.capped
     assert not report.converged
+
+
+def pipeline_inputs():
+    cases = []
+    for seed in range(6):
+        rng = rng_for(950 + seed)
+        rep = random_cc_rep(rng, random_graph(rng), dim=int(rng.integers(1, 5)))
+        cases.append(pytest.param(rep, id=f"random-{seed}"))
+    actions = {
+        "z2-loop-swap": z2_loop_swap(),
+        "z3-loop-rotation": z3_loop_rotation(),
+        "z3-cycle-rotation": z3_cycle_rotation()[1],
+    }
+    for name, a in actions.items():
+        rep = induced_regular_rep(random_cc_rep(rng_for(951), a.graph, 2), a)
+        cases.append(pytest.param(rep, id=f"induced-{name}"))
+    cases.append(pytest.param(rank_deficient_cuntz2(), id="rank-deficient-cuntz2"))
+    return cases
+
+
+@pytest.mark.parametrize("pipeline", [
+    pytest.param(lambda rep: cp_dilate(rep, max_rounds=4), id="cp"),
+    pytest.param(lambda rep: iterate_coextension(rep, n_steps=3), id="coext"),
+    pytest.param(lambda rep: iterate_ck(rep, 2), id="ck"),
+])
+@pytest.mark.parametrize("rep", pipeline_inputs())
+def test_pipeline_output_is_generated_by_the_input(pipeline, rep):
+    # the pipelines run no reduction: the input space must already generate
+    # the whole output under the edge operators, their adjoints and the gauge
+    report = pipeline(rep)
+    final = report.final_rep
+    assert minimal_reduce(final, Subspace(final.dim, report.embed)).new_dim == final.dim
+    if final.covariant:
+        assert covariance_defect(final) <= DEFAULT_TOL.eps
 
 
 # ---------------------------------------------------------------- moment_signature
