@@ -22,10 +22,8 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
-    _defect_factor,
     _eigen_factor,
     as_cmatrix,
-    is_psd,
     op_norm,
     orthonormal_closure,
 )
@@ -142,190 +140,167 @@ def _require_row_contraction(rep: GraphRep, tol: Tolerance) -> None:
         )
 
 
+def _extend(rep: GraphRep, kind: str, summands: dict, edge_blocks: dict,
+            unitary_blocks: dict | None, tol: Tolerance) -> DilationStep:
+    """The dilation of rep to H + the new summands, which follow H in the
+    order of summands (key -> (vertex, size)); proj(vertex) is the identity
+    on its summands.  Every operator keeps rep's in its leading d x d corner
+    and is zero elsewhere except for the given blocks: edge_blocks maps an
+    edge id, unitary_blocks (None when rep is not covariant) a group
+    element, to (row key, column key, block) triples, the key None standing
+    for H.  The cap is checked before any block is read, so blocks may be
+    produced lazily.  embed is H as the leading coordinates."""
+    d = rep.dim
+    at, pos = {None: slice(0, d)}, d
+    for key, (_, size) in summands.items():
+        at[key] = slice(pos, pos + size)
+        pos += size
+    tol.check_dim(pos)
+
+    def padded(corner, blocks):
+        M = np.zeros((pos, pos), dtype=complex)
+        M[:d, :d] = corner
+        for row, col, block in blocks:
+            M[at[row], at[col]] = block
+        return M
+
+    proj = {
+        u: padded(rep.proj[u], [(k, k, np.eye(n)) for k, (x, n) in summands.items() if x == u])
+        for u in rep.graph.vertices
+    }
+    edge_op = {
+        e.eid: padded(rep.edge_op[e.eid], edge_blocks.get(e.eid, ())) for e in rep.graph.edges
+    }
+    unitaries = None if unitary_blocks is None else {
+        g: padded(rep.unitaries[g], blocks) for g, blocks in unitary_blocks.items()
+    }
+    rep_after = GraphRep(rep.graph, pos, proj, edge_op, action=rep.action, unitaries=unitaries)
+    return DilationStep(kind, d, pos, np.eye(pos, d), rep_after)
+
+
 def one_step_isometric(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
     """One isometric dilation step on H + D, D the range of the defect
     I - ttilde* ttilde of the row ttilde: X tensor H -> H.
 
     X tensor H is modeled concretely as one summand range(proj(s(e))) per
-    edge, in edge order: the inner product <delta_e, delta_f> = delta_ef
-    delta_s(e) collapses the generic tensor product to exactly that sum.
-    The defect is factored one range fiber v at a time: module covariance
-    makes the cross-fiber blocks of ttilde* ttilde vanish, and one factor of
-    the whole matrix would mix their rounding noise into the fiber grading
-    the dilated projections rely on.  The eigenvectors K_v of v's block with
-    eigenvalue w above tol.eig_clip span v's new summand, on which proj(v)
-    is the identity, and t(e) picks up the rows C_v = diag(sqrt(w)) K_v* on
-    e's columns.  Iterating the step therefore
-    builds the truncated Fock tower H + sum_k X^{tensor k} tensor D of the
-    minimal isometric dilation (Muhly-Solel): after the first step the
-    defect lives only on the last layer.  The dropped eigenvalues are
-    <= eig_clip, which bounds the corner Toeplitz defect by eig_clip plus
-    rounding.  A gauge unitary acts on the new summand as K* Utilde_g K,
-    Utilde_g its action on X tensor H, which commutes with the defect and so
-    leaves D invariant.
+    edge: the inner product <delta_e, delta_f> = delta_ef delta_s(e)
+    collapses the generic tensor product to exactly that sum.  The defect
+    is factored one range fiber v at a time, ttilde_v = [t(e) basis(s(e))]
+    over r(e) = v: module covariance makes the cross-fiber blocks vanish,
+    and one factor of the whole matrix would mix their rounding noise into
+    the fiber grading the dilated projections rely on.  The factor's
+    smallest eigenvalue carries the precondition ||ttilde_v|| <= 1 + eps
+    (ContractivityError otherwise).  The eigenvectors K_v with eigenvalue w
+    above tol.eig_clip span v's new summand, on which proj(v) is the
+    identity, and t(e) picks up the rows C_v = diag(sqrt(w)) K_v* on e's
+    columns, times basis(s(e))*.  Iterating the step therefore builds the
+    truncated Fock tower H + sum_k X^{tensor k} tensor D of the minimal
+    isometric dilation (Muhly-Solel): after the first step the defect lives
+    only on the last layer.  The dropped eigenvalues are <= eig_clip, which
+    bounds the corner Toeplitz defect by eig_clip plus rounding.  A gauge
+    unitary u_g carries v's summand to g.v's by K_{gv}* [W_g(f, e)
+    basis(s(f))* u_g basis(s(e))] K_v, its action on X tensor H, which
+    commutes with the defect and so leaves D invariant.
     """
     _require_row_contraction(rep, tol)
-    graph, d = rep.graph, rep.dim
+    graph = rep.graph
     basis = _vertex_basis(rep)
-    offsets, pos = {}, 0
-    for e in graph.edges:
-        size = basis[e.src].shape[1]
-        offsets[e.eid] = (pos, pos + size)
-        pos += size
-    m = pos
-
-    ttilde = np.zeros((d, m), dtype=complex)
-    for e in graph.edges:
-        lo, hi = offsets[e.eid]
-        ttilde[:, lo:hi] = rep.edge_op[e.eid] @ basis[e.src]
-    factors = []
+    src = {e.eid: basis[e.src] for e in graph.edges}
+    index = {e.eid: i for i, e in enumerate(graph.edges)}
+    fibers, edge_blocks = {}, {}
     for v in graph.vertices:
-        idx = [i for e in range_fiber(graph, v) for i in range(*offsets[e])]
-        if idx:
-            s, K = _defect_factor(ttilde[:, idx], tol.eig_clip, tol)
-            factors.append((v, idx, s[s > 0], K[:, s > 0]))
-    r = sum(s.size for _, _, s, _ in factors)
-    new_dim = d + r
-    tol.check_dim(new_dim)
-    # K: orthonormal columns spanning D inside X tensor H; C = diag(sqrt(w)) K*
-    K = np.zeros((m, r), dtype=complex)
-    C = np.zeros((r, m), dtype=complex)
-    span, col = {}, 0
-    for v, idx, s, Kv in factors:
-        span[v] = slice(d + col, d + col + s.size)
-        K[idx, col:col + s.size] = Kv
-        C[col:col + s.size, idx] = s[:, None] * Kv.conj().T
-        col += s.size
-
-    edge_op = {}
-    for e in graph.edges:
-        T1 = np.zeros((new_dim, new_dim), dtype=complex)
-        T1[:d, :d] = rep.edge_op[e.eid]
-        lo, hi = offsets[e.eid]
-        T1[d:, :d] = C[:, lo:hi] @ basis[e.src].conj().T
-        edge_op[e.eid] = T1
-    proj = {}
-    for v in graph.vertices:
-        P1 = np.zeros((new_dim, new_dim), dtype=complex)
-        P1[:d, :d] = rep.proj[v]
-        if v in span:
-            P1[span[v], span[v]] = np.eye(span[v].stop - span[v].start)
-        proj[v] = P1
-    unitaries = None
+        fiber = range_fiber(graph, v)
+        widths = [src[e].shape[1] for e in fiber]
+        if not sum(widths):
+            continue
+        S = np.hstack([src[e] for e in fiber])
+        ttilde = np.hstack([rep.edge_op[e] @ src[e] for e in fiber])
+        defect = np.eye(S.shape[1], dtype=complex) - ttilde.conj().T @ ttilde
+        w, s, V = _eigen_factor(defect, tol.eig_clip)
+        if w[0] < 1.0 - (1.0 + tol.eps) ** 2:
+            raise ContractivityError("operator norm exceeds 1 beyond tolerance")
+        K = V[:, s > 0]
+        C = s[s > 0, None] * K.conj().T
+        for e, Ce in zip(fiber, np.split(C, np.cumsum(widths)[:-1], axis=1)):
+            edge_blocks[e] = [(v, None, Ce @ src[e].conj().T)]
+        fibers[v] = (S, np.repeat([index[e] for e in fiber], widths), K)
+    unitary_blocks = None
     if rep.covariant:
-        unitaries = {}
+        unitary_blocks = {}
         for g, W in enumerate(rep.action.edge_unitaries):
-            Ut = np.zeros((m, m), dtype=complex)
-            for j, e in enumerate(graph.edges):
-                lo, hi = offsets[e.eid]
-                for i, f in enumerate(graph.edges):
-                    if W[i, j] != 0:
-                        flo, fhi = offsets[f.eid]
-                        Ut[flo:fhi, lo:hi] = W[i, j] * (
-                            basis[f.src].conj().T @ rep.unitaries[g] @ basis[e.src]
-                        )
-            U1 = np.zeros((new_dim, new_dim), dtype=complex)
-            U1[:d, :d] = rep.unitaries[g]
-            U1[d:, d:] = K.conj().T @ Ut @ K
-            unitaries[g] = U1
-    rep_after = GraphRep(graph, new_dim, proj, edge_op,
-                         action=rep.action, unitaries=unitaries)
-    embed = np.zeros((new_dim, d), dtype=complex)
-    embed[:d, :d] = np.eye(d)
-    return DilationStep("isometric-step", d, new_dim, embed, rep_after)
+            U, blocks = rep.unitaries[g], []
+            for v, (S, cols, K) in fibers.items():
+                gv = rep.action.perm_vertex(g, v)
+                if gv in fibers:
+                    gS, gcols, gK = fibers[gv]
+                    M = (gS.conj().T @ U @ S) * W[np.ix_(gcols, cols)]
+                    blocks.append((gv, v, gK.conj().T @ M @ K))
+            unitary_blocks[g] = blocks
+    summands = {v: (v, K.shape[1]) for v, (_, _, K) in fibers.items()}
+    return _extend(rep, "isometric-step", summands, edge_blocks, unitary_blocks, tol)
 
 
 def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
     """One Cuntz-Krieger dilation step, sized by the ranges of the defects.
 
     For each finite receiver v the defect proj(v) - sum_e t(e)t(e)* is
-    compressed to H_v = range(proj(v)), where it is supported, checked
-    positive (PositivityError otherwise) and factored: the eigenvectors K_v
-    with eigenvalue w above tol.eig_clip span ran(Delta_v), Delta_v =
-    |r^{-1}(v)|^{-1/2} (proj(v) - sum_e t(e)t(e)*)^{1/2}.  Each pair (v, w)
-    with a nonempty bucket E(v, w) contributes a summand ran(Delta_v) tensor
-    [E(v, w)] attached to vertex w, and t(e) picks up the column block
-    K_v diag(sqrt(w / |r^{-1}(v)|)) there, which restores the Cuntz-Krieger
-    sum at every finite receiver on the original corner up to the dropped
-    eigenvalues, each <= eig_clip.  Every new direction is the image of H
-    under some t(e)*, so the step adds nothing a minimal reduction would
-    remove.  A gauge unitary acts on the new summands as
-    conj(bucket) tensor K_{gv}* u_g K_v.
+    compressed to H_v = range(proj(v)), where it is supported, and factored;
+    the factor's eigenvalues carry the positivity precondition (Hermitian
+    within eps, no eigenvalue below -eig_clip; PositivityError otherwise).
+    The eigenvectors K_v with eigenvalue w above tol.eig_clip span
+    ran(Delta_v), Delta_v = |r^{-1}(v)|^{-1/2} (proj(v) - sum_e
+    t(e)t(e)*)^{1/2}.  Each pair (v, w) with a nonempty bucket E(v, w)
+    contributes a summand ran(Delta_v) tensor [E(v, w)] attached to vertex
+    w, and t(e) picks up the column block K_v diag(sqrt(w / |r^{-1}(v)|))
+    at e's slot there, which restores the Cuntz-Krieger sum at every finite
+    receiver on the original corner up to the dropped eigenvalues, each <=
+    eig_clip.  Every new direction is the image of H under some t(e)*, so
+    the step adds nothing a minimal reduction would remove.  A gauge unitary
+    acts on the new summands as conj(bucket) tensor K_{gv}* u_g K_v.
     """
     _require_row_contraction(rep, tol)
-    graph, d = rep.graph, rep.dim
+    graph = rep.graph
     basis = _vertex_basis(rep)
-    vfin = finite_receivers(graph)
     K, col = {}, {}
-    for v in vfin:
+    for v in finite_receivers(graph):
         fiber = range_fiber(graph, v)
         defect = rep.proj[v].copy()
         for e in fiber:
             defect -= rep.edge_op[e] @ rep.edge_op[e].conj().T
         A = basis[v].conj().T @ defect @ basis[v]
-        if not is_psd(A, tol):
+        w, s, V = _eigen_factor(A, tol.eig_clip)
+        if w.min(initial=0.0) < -tol.eig_clip or op_norm(A - A.conj().T) > tol.eps:
             raise PositivityError(
                 f"Cuntz-Krieger defect at vertex {v!r} is not positive semidefinite"
             )
-        s, V = _eigen_factor(A, tol.eig_clip)
         K[v] = basis[v] @ V[:, s > 0]
         col[v] = K[v] * (s[s > 0] / np.sqrt(len(fiber)))
-    pairs = [
-        (v, w) for v in vfin for w in graph.vertices if edge_bucket(graph, v, w)
-    ]
-    offsets, pos = {}, d
-    for (v, w) in pairs:
-        size = K[v].shape[1] * len(edge_bucket(graph, v, w))
-        offsets[(v, w)] = (pos, pos + size)
-        pos += size
-    new_dim = pos
-    tol.check_dim(new_dim)
+    summands, edge_blocks = {}, {}
+    for v in K:
+        for w in graph.vertices:
+            bucket = edge_bucket(graph, v, w)
+            if bucket:
+                summands[(v, w)] = (w, K[v].shape[1] * len(bucket))
+                for j, e in enumerate(bucket):
+                    slot = np.eye(1, len(bucket), j)   # e's place in the bucket
+                    edge_blocks[e] = [(None, (v, w), np.kron(slot, col[v]))]
 
-    edge_op = {}
-    for e in graph.edges:
-        T1 = np.zeros((new_dim, new_dim), dtype=complex)
-        T1[:d, :d] = rep.edge_op[e.eid]
-        if e.dst in col:
-            v, w = e.dst, e.src
-            rv = K[v].shape[1]
-            j = edge_bucket(graph, v, w).index(e.eid)
-            lo = offsets[(v, w)][0] + j * rv
-            T1[:d, lo:lo + rv] = col[v]
-        edge_op[e.eid] = T1
-    proj = {}
-    for u in graph.vertices:
-        P1 = np.zeros((new_dim, new_dim), dtype=complex)
-        P1[:d, :d] = rep.proj[u]
-        for (v, w) in pairs:
-            if w == u:
-                lo, hi = offsets[(v, w)]
-                P1[lo:hi, lo:hi] = np.eye(hi - lo)
-        proj[u] = P1
-    unitaries = None
-    if rep.covariant:
-        a = rep.action
-        unitaries = {}
-        for g in range(a.group.order):
-            U1 = np.zeros((new_dim, new_dim), dtype=complex)
-            U1[:d, :d] = rep.unitaries[g]
-            for (v, w) in pairs:
-                av, aw = a.perm_vertex(g, v), a.perm_vertex(g, w)
-                if (av, aw) not in offsets:
-                    raise StructureError(
-                        "action moves a dilation summand outside the finite receivers"
-                    )
-                lo, hi = offsets[(v, w)]
-                alo, ahi = offsets[(av, aw)]
-                U1[alo:ahi, lo:hi] = np.kron(
-                    a.bucket_matrix(g, v, w).conj(),
-                    K[av].conj().T @ rep.unitaries[g] @ K[v],
+    def gauge_blocks(g):   # lazy, so that _extend checks the cap first
+        a, U = rep.action, rep.unitaries[g]
+        for v, w in summands:
+            image = (a.perm_vertex(g, v), a.perm_vertex(g, w))
+            if image not in summands:
+                raise StructureError(
+                    "action moves a dilation summand outside the finite receivers"
                 )
-            unitaries[g] = U1
-    rep_after = GraphRep(graph, new_dim, proj, edge_op,
-                         action=rep.action, unitaries=unitaries)
-    embed = np.zeros((new_dim, d), dtype=complex)
-    embed[:d, :d] = np.eye(d)
-    return DilationStep("ck-step", d, new_dim, embed, rep_after)
+            yield image, (v, w), np.kron(
+                a.bucket_matrix(g, v, w).conj(), K[image[0]].conj().T @ U @ K[v]
+            )
+
+    unitary_blocks = None
+    if rep.covariant:
+        unitary_blocks = {g: gauge_blocks(g) for g in range(rep.action.group.order)}
+    return _extend(rep, "ck-step", summands, edge_blocks, unitary_blocks, tol)
 
 
 def minimal_reduce(rep: GraphRep, seed: Subspace, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
@@ -442,14 +417,21 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
     stages: list[StageRecord] = []
     if toeplitz_defect(current) <= tol.eps and ck_defect(current) <= tol.eps:
         return PipelineReport((), True, current, E_orig, False)
-    for _ in range(int(max_rounds)):
+    for k in range(int(max_rounds)):
         dilated, E_round, capped = _run_steps(current, (one_step_ck, one_step_isometric), tol, stages)
         if capped:
             return PipelineReport(tuple(stages), False, current, E_orig, True)
         current = dilated
         E_orig = E_round @ E_orig
-        stages.append(_compression_record(stages, current, E_orig))
-        if toeplitz_defect(current, E_round) <= tol.eps and ck_defect(current, E_round) <= tol.eps:
+        row = _compression_record(stages, current, E_orig)
+        stages.append(row)
+        if k == 0:
+            # E_orig is E_round in the first round: the row measured this corner
+            done = row.corner_toeplitz <= tol.eps and row.corner_ck <= tol.eps
+        else:
+            done = (toeplitz_defect(current, E_round) <= tol.eps
+                    and ck_defect(current, E_round) <= tol.eps)
+        if done:
             return PipelineReport(tuple(stages), True, current, E_orig, False)
     return PipelineReport(tuple(stages), False, current, E_orig, False)
 

@@ -210,22 +210,6 @@ class GaugeAction:
         self.group.check_element(g)
         return self.bucket_unitary[(g, v, w)]
 
-    @staticmethod
-    def from_edge_permutations(group: FiniteGroup, graph: DirectedGraph,
-                               vertex_perms, edge_perms) -> "GaugeAction":
-        """Build an action whose bucket unitaries permute edges (no mixing)."""
-        units = {}
-        for gi in range(group.order):
-            vp = vertex_perms[gi]
-            ep = edge_perms[gi]
-            for (v, w), bucket in graph._bucket.items():
-                target = edge_bucket(graph, vp[v], vp[w])
-                U = np.zeros((len(target), len(bucket)), dtype=complex)
-                for j, e in enumerate(bucket):
-                    U[target.index(ep[e]), j] = 1.0
-                units[(gi, v, w)] = U
-        return GaugeAction(group, graph, tuple(vertex_perms), units)
-
 
 def trivial_action(graph: DirectedGraph) -> GaugeAction:
     group = FiniteGroup.trivial()

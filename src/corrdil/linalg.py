@@ -145,18 +145,18 @@ def _hermitian_part(A: np.ndarray) -> np.ndarray:
 
 
 def _eigen_factor(A: np.ndarray, cutoff: float):
-    """(s, V): the eigenvectors V of the Hermitian part of A, in ascending
-    order, and the square roots s of their eigenvalues, with every eigenvalue
-    at or below cutoff (in particular every negative one) set to 0, so that
-    the columns with s > 0 span the kept range.  This is the one place that
-    clips eigenvalues; the callers' preconditions decide which are rounding."""
+    """(w, s, V): the eigenvalues w of the Hermitian part of A, ascending and
+    unclipped, from which the callers read their preconditions; its
+    eigenvectors V; and s = sqrt(w) with every w at or below cutoff (in
+    particular every negative one) set to 0, so that the columns with s > 0
+    span the kept range.  This is the one place that clips eigenvalues."""
     w, V = np.linalg.eigh(_hermitian_part(A))
-    return np.sqrt(np.where(w > cutoff, w, 0.0)), V
+    return w, np.sqrt(np.where(w > cutoff, w, 0.0)), V
 
 
 def _sqrt_from(factor) -> np.ndarray:
     """The Hermitian square root (V * s) V* of an _eigen_factor result."""
-    s, V = factor
+    _, s, V = factor
     return _hermitian_part((V * s) @ V.conj().T)
 
 
@@ -195,17 +195,10 @@ def defect_sqrt(T, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     precondition holds every negative eigenvalue is a rounding artifact, so
     all of them are clamped to 0.
     """
-    return _sqrt_from(_defect_factor(T, 0.0, tol))
-
-
-def _defect_factor(T, cutoff: float, tol: Tolerance = DEFAULT_TOL):
-    """_eigen_factor of I - T*T for a contraction T, under defect_sqrt's
-    precondition.  C = diag(s) V* satisfies C*C = I - T*T up to the clipped
-    eigenvalues, each <= cutoff, and its nonzero rows span the defect's range."""
     A = as_cmatrix(T)
     if op_norm(A) > 1.0 + tol.eps:
         raise ContractivityError("operator norm exceeds 1 beyond tolerance")
-    return _eigen_factor(np.eye(A.shape[1], dtype=complex) - A.conj().T @ A, cutoff)
+    return _sqrt_from(_eigen_factor(np.eye(A.shape[1], dtype=complex) - A.conj().T @ A, 0.0))
 
 
 def _append_orthonormal(B: np.ndarray, W: np.ndarray, eig_clip: float):

@@ -103,13 +103,6 @@ class DefectReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def max_defect(self) -> float:
-        return max((c.value for c in self.checks), default=0.0)
-
-    def failures(self) -> tuple:
-        return tuple(c for c in self.checks if not c.passed)
-
 
 def validate(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DefectReport:
     """Measure all structural defects; passes iff every one is <= tol.eps."""
@@ -170,8 +163,6 @@ class VertexContraction:
     vertex: str
     margin: float        # most positive eigenvalue of [t(e)*t(f)] - diag(proj(s(e)))
     passed: bool
-    delta_margin: float  # most negative eigenvalue of proj(v) - sum_e t(e)t(e)*
-    delta_psd: bool
 
 
 @dataclass(frozen=True)
@@ -189,8 +180,7 @@ class RowContractionReport:
 
 def row_contraction_check(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> RowContractionReport:
     """Per vertex with a nonempty fiber, check the block matrix
-    [t(e)* t(f)] over e, f in the fiber is dominated by diag(proj(s(e))),
-    and report positivity of the defect proj(v) - sum_e t(e) t(e)*."""
+    [t(e)* t(f)] over e, f in the fiber is dominated by diag(proj(s(e)))."""
     results = []
     for v in rep.graph.vertices:
         fiber = range_fiber(rep.graph, v)
@@ -207,20 +197,7 @@ def row_contraction_check(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> RowCon
             block[i * d:(i + 1) * d, i * d:(i + 1) * d] -= rep.proj[src]
         w = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
         margin = float(w.max())
-        defect = rep.proj[v].copy()
-        for e in fiber:
-            defect -= rep.edge_op[e] @ rep.edge_op[e].conj().T
-        wd = np.linalg.eigvalsh(0.5 * (defect + defect.conj().T))
-        delta_margin = float(wd.min())
-        results.append(
-            VertexContraction(
-                vertex=v,
-                margin=margin,
-                passed=margin <= tol.eig_clip,
-                delta_margin=delta_margin,
-                delta_psd=delta_margin >= -tol.eig_clip,
-            )
-        )
+        results.append(VertexContraction(vertex=v, margin=margin, passed=margin <= tol.eig_clip))
     return RowContractionReport(tuple(results))
 
 

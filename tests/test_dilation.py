@@ -30,6 +30,7 @@ from corrdil import (
     one_step_ck,
     one_step_isometric,
     op_norm,
+    row_contraction_check,
     toeplitz_defect,
     validate,
 )
@@ -137,6 +138,21 @@ def test_isometric_step_rank_decision_at_eig_clip(lam, new_dim):
     assert toeplitz_defect(step.rep_after, step.embed) <= clip
 
 
+def heavy_source_rep(t: float) -> GraphRep:
+    # w -> v with rho(delta_w) = 2 on its coordinate: the row check against
+    # the source passes for |t| < sqrt 2, but t is not a contraction on H_w
+    g = DirectedGraph(("v", "w"), (("e", "w", "v"),))
+    proj = {"v": np.diag([1.0, 0.0]), "w": np.diag([0.0, 2.0])}
+    return GraphRep(g, 2, proj, {"e": np.array([[0.0, t], [0.0, 0.0]])})
+
+
+def test_isometric_step_rejects_expansive_fiber_past_row_check():
+    rep = heavy_source_rep(1.2)
+    assert row_contraction_check(rep).passed
+    with pytest.raises(ContractivityError):
+        one_step_isometric(rep)
+
+
 # ---------------------------------------------------------------- one_step_ck
 
 def test_ck_step_cuntz2_scalar_oracle():
@@ -241,6 +257,19 @@ def test_ck_step_rejects_non_psd_defect():
     rep = GraphRep(g, 2, proj, {"e": np.array([[0.0, 1.2], [0.0, 0.0]])})
     with pytest.raises(PositivityError):
         one_step_ck(rep)
+
+
+@pytest.mark.parametrize("lam, raises", [(2.0, True), (0.5, False)], ids=["above", "below"])
+def test_ck_step_positivity_decision_at_eig_clip(lam, raises):
+    # proj(v) - t t* = -lam * eig_clip on H_v: a negative eigenvalue within
+    # eig_clip is rounding and is clipped, one beyond it is rejected
+    rep = heavy_source_rep(np.sqrt(1.0 + lam * DEFAULT_TOL.eig_clip))
+    assert row_contraction_check(rep).passed
+    if raises:
+        with pytest.raises(PositivityError):
+            one_step_ck(rep)
+    else:
+        assert one_step_ck(rep).new_dim == 2
 
 
 def rank_deficient_cuntz2() -> GraphRep:
