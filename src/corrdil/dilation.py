@@ -78,7 +78,9 @@ class DilationStep:
             else (self.new_dim, self.old_dim)
         )
         E = as_cmatrix(self.embed, rows=shape[0], cols=shape[1])
-        if E.shape[1] and op_norm(E.conj().T @ E - np.eye(E.shape[1])) > 1e-6:
+        D = E.conj().T @ E - np.eye(E.shape[1])
+        # ||D||_2 <= ||D||_F: the SVD runs only when the Frobenius norm is inconclusive
+        if np.linalg.norm(D) > 1e-6 and op_norm(D) > 1e-6:
             raise ValueError("embed is not an isometry")
         object.__setattr__(self, "embed", E)
 
@@ -380,10 +382,14 @@ def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TO
     tower, which the original space generates, so no reduction runs: the
     final representation is the last step's output and embed the composed
     step embeds.  Guarantee per stage: the Toeplitz defect compressed to the
-    previous stage's space is <= tol.eps."""
-    _require_row_contraction(rep, tol)
+    previous stage's space is <= tol.eps.  Each step checks that its input
+    is a row contraction (ContractivityError otherwise); with no step to
+    run, the check of rep runs here."""
+    steps = [one_step_isometric] * int(n_steps)
+    if not steps:
+        _require_row_contraction(rep, tol)
     stages: list[StageRecord] = []
-    current, E, capped = _run_steps(rep, [one_step_isometric] * int(n_steps), tol, stages)
+    current, E, capped = _run_steps(rep, steps, tol, stages)
     stages.append(_compression_record(stages, current, E))
     converged = not capped and all(s.corner_toeplitz <= tol.eps for s in stages)
     return PipelineReport(tuple(stages), converged, current, E, capped)
@@ -409,13 +415,17 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
     and the compression row measures it on the pipeline's original space.
     The stopping rule is a finite-stage surrogate for the limit object: each
     round certifies both relations on the corner carried forward from the
-    round before.
+    round before.  Each step checks that its input is a row contraction
+    (ContractivityError otherwise); when no step runs, the check of rep runs
+    here.
     """
-    _require_row_contraction(rep, tol)
     current = rep
     E_orig = np.eye(rep.dim, dtype=complex)
     stages: list[StageRecord] = []
-    if toeplitz_defect(current) <= tol.eps and ck_defect(current) <= tol.eps:
+    done = toeplitz_defect(current) <= tol.eps and ck_defect(current) <= tol.eps
+    if done or int(max_rounds) < 1:
+        _require_row_contraction(rep, tol)
+    if done:
         return PipelineReport((), True, current, E_orig, False)
     for k in range(int(max_rounds)):
         dilated, E_round, capped = _run_steps(current, (one_step_ck, one_step_isometric), tol, stages)

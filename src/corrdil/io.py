@@ -27,6 +27,13 @@ A problem file is UTF-8 JSON with up to four top-level blocks::
 where a matrix M is a nested array of [re, im] pairs, row-major.  Canonical
 serialization sorts keys, prints floats with 17 significant digits, and is
 byte-stable under parse/write round trips.
+
+Matrices take array fast paths both ways: matrix_to_json converts with one
+tolist, the emitter writes each [re, im] pair with one join, and
+matrix_from_json converts with one np.array once the JSON types check out.
+Input the fast path does not accept goes through the entry-by-entry loop,
+which names the first bad row or entry, so the bytes written and every
+ParseError message are what the plain loops give.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -82,47 +90,76 @@ def _fmt_scalar(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _depth(obj) -> int:
-    if isinstance(obj, list):
-        return 1 + max((_depth(x) for x in obj), default=0)
-    if isinstance(obj, dict):
-        return 3  # force dicts onto their own lines
-    return 0
-
-
-def _emit(obj, indent: int) -> str:
-    pad = "  " * indent
+def _emit(obj, indent: int) -> tuple:
+    """The canonical text of obj at the given indent level, and its depth:
+    0 for a scalar, 3 for a dict (which forces dicts onto their own lines),
+    and 1 + the deepest item for a list.  A list of depth <= 2 is written on
+    one line, anything deeper one item per line."""
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            return "{}", 3
+        pad = "  " * indent
         lines = [
-            f"{pad}  {json.dumps(str(k), ensure_ascii=False)}: {_emit(obj[k], indent + 1).lstrip()}"
+            f"{pad}  {json.dumps(str(k), ensure_ascii=False)}: {_emit(obj[k], indent + 1)[0]}"
             for k in sorted(obj, key=str)
         ]
-        return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
+        return "{\n" + ",\n".join(lines) + "\n" + pad + "}", 3
     if isinstance(obj, list):
-        if _depth(obj) <= 2:
-            return "[" + ", ".join(_emit(x, 0) for x in obj) + "]"
-        lines = [f"{pad}  {_emit(x, indent + 1).lstrip()}" for x in obj]
-        return "[\n" + ",\n".join(lines) + "\n" + pad + "]"
-    return _fmt_scalar(obj)
+        if obj and all(type(x) is float for x in obj):
+            # the [re, im] pair of a matrix entry; see _fmt_scalar for the + 0.0
+            return "[" + ", ".join([format(x + 0.0, ".17g") for x in obj]) + "]", 1
+        items = [_emit(x, indent + 1) for x in obj]
+        depth = 1 + max((d for _, d in items), default=0)
+        if depth <= 2:
+            return "[" + ", ".join([text for text, _ in items]) + "]", depth
+        pad = "  " * indent
+        lines = [f"{pad}  {text}" for text, _ in items]
+        return "[\n" + ",\n".join(lines) + "\n" + pad + "]", depth
+    return _fmt_scalar(obj), 0
 
 
 def canonical_text(obj) -> str:
     """Render a JSON-like object in the canonical format (trailing newline)."""
-    return _emit(obj, 0) + "\n"
+    return _emit(obj, 0)[0] + "\n"
 
 
 # ---------------------------------------------------------------- json <-> values
 
 def matrix_to_json(M) -> list:
-    A = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in A]
+    A = np.ascontiguousarray(M, dtype=complex)
+    n, m = A.shape
+    return A.view(float).reshape(n, m, 2).tolist()
+
+
+def _finite_pair_array(obj):
+    """obj as an n x m complex array when it is a list of equal-length rows of
+    [re, im] lists of finite JSON numbers (not booleans), else None.  Every
+    entry equals complex(re, im) bit for bit."""
+    try:
+        A = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if A.ndim != 3 or A.shape[2] != 2:
+        return None
+    # np.array converts true, "1.5" and null (to nan) silently, and takes
+    # tuples for lists: only the JSON types may take this path
+    pairs = list(chain.from_iterable(obj))
+    if ({*map(type, obj)} != {list} or {*map(type, pairs)} != {list}
+            or not {*map(type, chain.from_iterable(pairs))} <= {int, float}):
+        return None
+    if not np.isfinite(A).all():
+        return None
+    return A.view(complex)[..., 0]
 
 
 def matrix_from_json(obj, path: str) -> np.ndarray:
+    """The complex matrix of a JSON array of rows of [re, im] pairs.  Input
+    that is not one fails with a ParseError naming the first bad row or entry."""
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{path}: expected a nonempty array of rows")
+    A = _finite_pair_array(obj)
+    if A is not None:
+        return A
     rows = []
     width = None
     for i, row in enumerate(obj):

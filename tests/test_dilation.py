@@ -8,6 +8,7 @@ import pytest
 from corrdil import (
     DEFAULT_TOL,
     ContractivityError,
+    DilationStep,
     DirectedGraph,
     FiniteGroup,
     GaugeAction,
@@ -136,6 +137,28 @@ def test_isometric_step_rank_decision_at_eig_clip(lam, new_dim):
     step = one_step_isometric(loop_rep(np.sqrt(1.0 - lam * clip)))
     assert step.new_dim == new_dim
     assert toeplitz_defect(step.rep_after, step.embed) <= clip
+
+
+def near_isometry(defects) -> np.ndarray:
+    # E*E - I = diag(defects) exactly up to rounding, with one extra zero row
+    k = len(defects)
+    return np.vstack([np.diag(np.sqrt(1.0 + np.asarray(defects))), np.zeros((1, k))])
+
+
+@pytest.mark.parametrize("defects, isometry", [
+    ([1.5e-6, 0.0, 0.0, 0.0], False),   # operator and Frobenius norm 1.5e-6
+    ([8e-7] * 4, True),                 # Frobenius norm 1.6e-6, operator norm 8e-7
+], ids=["op-norm-above", "frobenius-above-op-below"])
+def test_dilation_step_isometry_decided_by_operator_norm(defects, isometry):
+    E = near_isometry(defects)
+    D = E.conj().T @ E - np.eye(4)
+    assert (op_norm(D) <= 1e-6) == isometry and np.linalg.norm(D) > 1e-6
+    rep = zero_rep(cuntz_graph(1), 5)
+    if isometry:
+        assert DilationStep("isometric-step", 4, 5, E, rep).new_dim == 5
+    else:
+        with pytest.raises(ValueError, match="not an isometry"):
+            DilationStep("isometric-step", 4, 5, E, rep)
 
 
 def heavy_source_rep(t: float) -> GraphRep:
@@ -503,6 +526,30 @@ def test_cp_dilate_keeps_covariance_of_induced_rep(seed):
     report = cp_dilate(rep, 8)
     assert report.converged
     assert covariance_defect(report.final_rep) <= DEFAULT_TOL.eps
+
+
+def barely_expansive_loop() -> GraphRep:
+    # t = sqrt(1 + 1e-9): both defects are 1e-9 <= eps, so cp_dilate returns
+    # before any step, but the row margin 1e-9 exceeds eig_clip
+    return loop_rep(np.sqrt(1.0 + 1e-9))
+
+
+def test_barely_expansive_loop_fails_only_the_row_check():
+    rep = barely_expansive_loop()
+    assert toeplitz_defect(rep) <= DEFAULT_TOL.eps and ck_defect(rep) <= DEFAULT_TOL.eps
+    assert not row_contraction_check(rep).passed
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: cp_dilate(barely_expansive_loop(), 4), id="cp-already-converged"),
+    pytest.param(lambda: cp_dilate(loop_rep(2.0), 0), id="cp-no-rounds"),
+    pytest.param(lambda: iterate_coextension(barely_expansive_loop(), 0), id="coext-no-steps"),
+    pytest.param(lambda: iterate_coextension(barely_expansive_loop(), 2), id="coext"),
+    pytest.param(lambda: cp_dilate(loop_rep(2.0), 2), id="cp"),
+])
+def test_pipelines_reject_non_row_contractions(run):
+    with pytest.raises(ContractivityError, match=r"row contraction fails at vertices \['v'\]"):
+        run()
 
 
 def test_cp_dilate_capped():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +13,25 @@ from hypothesis import strategies as st
 
 from corrdil import (
     DEFAULT_TOL,
+    DirectedGraph,
+    FiniteGroup,
+    GaugeAction,
     GraphRep,
     ParseError,
     ProblemFile,
     Tolerance,
+    induced_regular_rep,
     parse_problem,
     problem_text,
 )
 from corrdil.io import canonical_text, matrix_from_json, matrix_to_json
 from helpers import cuntz_graph, random_cc_rep, rng_for, z2_loop_swap
+
+
+# The canonical text of canonical_sample_problem(), pinned byte for byte.  Regenerate
+# it (only for an intended change of the format) with
+#     PYTHONPATH=src:tests python tests/test_io.py
+CANONICAL_SAMPLE = Path(__file__).parent / "data" / "canonical_sample.json"
 
 
 def sample_problem() -> ProblemFile:
@@ -111,6 +122,36 @@ def test_bad_entry_pair():
         matrix_from_json([[[1, 2, 3]]], "m")
 
 
+@pytest.mark.parametrize("obj, message", [
+    ([[[True, 0]]], "m[0][0]: expected an [re, im] pair"),
+    ([[["1.5", 0]]], "m[0][0]: expected an [re, im] pair"),
+    ([[[None, 0]]], "m[0][0]: expected an [re, im] pair"),
+    ([[[1, 2, 3]]], "m[0][0]: expected an [re, im] pair"),
+    ([[[1, 0], [2]]], "m[0][1]: expected an [re, im] pair"),
+    ([[[[1, 0]]]], "m[0][0]: expected an [re, im] pair"),
+    ([[[1, 0]], "x"], "m[1]: expected an array"),
+    ([[[1, 0]], [[2, 0], [3, 0]]], "m[1]: ragged rows"),
+    ([[(1, 0)]], "m[0][0]: expected an [re, im] pair"),
+    ([([1, 0],)], "m[0]: expected an array"),
+    ([[[1e400, 0]]], "m[0][0]: entry is not finite"),
+    ([[[10**400, 0]]], "m[0][0]: entry is not finite"),
+    ([[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]], "m[1][1]: entry is not finite"),
+    ([], "m: expected a nonempty array of rows"),
+], ids=["true", "string", "null", "triple", "short-pair", "too-deep", "row-not-array",
+        "ragged", "tuple-pair", "tuple-row", "float-overflow", "int-overflow", "nan-later-row", "empty"])
+def test_matrix_from_json_rejects(obj, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        matrix_from_json(obj, "m")
+
+
+def test_matrix_from_json_values():
+    assert matrix_from_json([[]], "m").shape == (1, 0)
+    pairs = [[[1, 0.5], [2**53 + 1, -3]], [[-0.0, 7], [1e-300, -2.5e300]]]
+    A = matrix_from_json(pairs, "m")
+    want = np.array([[complex(re, im) for re, im in row] for row in pairs])
+    assert A.dtype == complex and A.tobytes() == want.tobytes()
+
+
 def test_unknown_tolerance_field():
     text = json.dumps({
         "graph": {"vertices": ["v"], "edges": []},
@@ -196,3 +237,37 @@ def test_canonical_matrix_layout():
     text = canonical_text([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
     # one line per matrix row, entries inline
     assert text.splitlines()[1].strip() == "[[1, 0], [0.5, 0]],"
+
+
+# ---------------------------------------------------------------- pinned bytes
+
+def canonical_sample_problem() -> ProblemFile:
+    """A covariant problem whose canonical text exercises every writer path:
+    a Hadamard bucket unitary, a truncated vertex, a -0.0 entry and entries
+    near 1e+-300."""
+    g = DirectedGraph(("v", "w"), (("e0", "v", "v"), ("e1", "v", "v")), frozenset({"w"}))
+    H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    a = GaugeAction(FiniteGroup.cyclic(2), g, ({"v": "v", "w": "w"},) * 2, {(1, "v", "v"): H})
+    rep = induced_regular_rep(random_cc_rep(rng_for(951), g, dim=2), a)
+    T = rep.edge_op["e0"].copy()
+    T[0, 1] = complex(-0.0, 1.0e-300)
+    T[1, 0] = complex(-1.2345678901234567e300, -0.0)
+    rep = GraphRep(g, rep.dim, rep.proj, {**rep.edge_op, "e0": T},
+                   action=a, unitaries=rep.unitaries)
+    return ProblemFile(g, a, rep, Tolerance(eps=1e-9, eig_clip=1e-11, max_dim=512))
+
+
+def test_canonical_sample_fixture_bytes():
+    pinned = CANONICAL_SAMPLE.read_text(encoding="utf-8")
+    assert problem_text(parse_problem(pinned)) == pinned
+    assert canonical_text(json.loads(pinned)) == pinned
+
+
+def test_canonical_sample_problem_writes_fixture():
+    assert problem_text(canonical_sample_problem()) == CANONICAL_SAMPLE.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    CANONICAL_SAMPLE.parent.mkdir(exist_ok=True)
+    CANONICAL_SAMPLE.write_text(problem_text(canonical_sample_problem()), encoding="utf-8")
+    print(f"wrote {CANONICAL_SAMPLE}")
