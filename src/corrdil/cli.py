@@ -258,9 +258,8 @@ def cmd_dilate(args) -> Report:
         report.checks.append(_flag("pipeline.converged", pipe.converged or pipe.capped))
     elif args.mode == "ck":
         pipe = iterate_ck(rep, n_steps=args.steps, tol=tol)
-        if pipe.steps:
-            last = pipe.steps[-1].corner_ck
-            report.checks.append(CheckLine("corner-ck-defect", last, tol.eps, last <= tol.eps))
+        last = pipe.steps[-1].corner_ck if pipe.steps else ck_defect(rep)
+        report.checks.append(CheckLine("corner-ck-defect", last, tol.eps, last <= tol.eps))
     else:  # cp
         pipe = cp_dilate(rep, max_rounds=args.rounds, tol=tol)
         report.checks.append(_flag("pipeline.converged", pipe.converged))

@@ -29,6 +29,8 @@ from .linalg import (
 )
 from .representation import (
     GraphRep,
+    _ck_residuals,
+    _corner_defects,
     ck_defect,
     covariance_defect,
     row_contraction_check,
@@ -91,9 +93,12 @@ class StageRecord:
 
     toeplitz/ck/covariance are the raw defects of the full stage output;
     corner_toeplitz/corner_ck are the same defects compressed to the previous
-    stage's space, which is where the stage guarantees live.  A
-    "compression" row repeats the full defects of the row before it (the
-    same representation) and compresses to the pipeline's original space.
+    stage's space, which is where the stage guarantees live.  Every step
+    keeps its input as the leading coordinates of its output, so the corner
+    is a leading diagonal block of each residual.  A "compression" row
+    repeats the full defects of the row before it (the same representation)
+    and takes its corner on the pipeline's original space, the leading
+    rep.dim coordinates.
     """
 
     kind: str
@@ -108,8 +113,9 @@ class StageRecord:
 @dataclass(frozen=True)
 class PipelineReport:
     """Stage table plus the final representation and the isometry locating
-    the pipeline's original space inside it.  capped marks a run cut short by
-    the dimension cap (partial results)."""
+    the pipeline's original space inside it: every pipeline keeps that space
+    as the leading coordinates, so embed is np.eye(final_rep.dim, rep.dim).
+    capped marks a run cut short by the dimension cap (partial results)."""
 
     steps: tuple
     converged: bool
@@ -264,11 +270,7 @@ def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
     graph = rep.graph
     basis = _vertex_basis(rep)
     K, col = {}, {}
-    for v in finite_receivers(graph):
-        fiber = range_fiber(graph, v)
-        defect = rep.proj[v].copy()
-        for e in fiber:
-            defect -= rep.edge_op[e] @ rep.edge_op[e].conj().T
+    for v, defect in zip(finite_receivers(graph), _ck_residuals(rep)):
         A = basis[v].conj().T @ defect @ basis[v]
         w, s, V = _eigen_factor(A, tol.eig_clip)
         if w.min(initial=0.0) < -tol.eig_clip or op_norm(A - A.conj().T) > tol.eps:
@@ -276,7 +278,7 @@ def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
                 f"Cuntz-Krieger defect at vertex {v!r} is not positive semidefinite"
             )
         K[v] = basis[v] @ V[:, s > 0]
-        col[v] = K[v] * (s[s > 0] / np.sqrt(len(fiber)))
+        col[v] = K[v] * (s[s > 0] / np.sqrt(len(range_fiber(graph, v))))
     summands, edge_blocks = {}, {}
     for v in K:
         for w in graph.vertices:
@@ -332,56 +334,41 @@ def minimal_reduce(rep: GraphRep, seed: Subspace, tol: Tolerance = DEFAULT_TOL) 
     return DilationStep("compression", rep.dim, space.dim, B, rep_after)
 
 
-def _stage_record(kind: str, rep: GraphRep, corner_embed) -> StageRecord:
+def _measure(stages: list, kind: str, rep: GraphRep, k: int, sizes=()) -> dict:
+    """Append rep's row, its corner the leading k coordinates, to stages and
+    return rep's corner defects at k, rep.dim and sizes, all from one pass."""
+    corners = _corner_defects(rep, {rep.dim, k, *sizes})
     cov = covariance_defect(rep) if rep.covariant else None
-    return StageRecord(
-        kind=kind,
-        new_dim=rep.dim,
-        toeplitz=toeplitz_defect(rep),
-        ck=ck_defect(rep),
-        covariance=cov,
-        corner_toeplitz=toeplitz_defect(rep, corner_embed),
-        corner_ck=ck_defect(rep, corner_embed),
-    )
+    stages.append(StageRecord(kind, rep.dim, *corners[rep.dim], cov, *corners[k]))
+    return corners
 
 
-def _compression_record(stages: list, rep: GraphRep, embed) -> StageRecord:
-    """The "compression" row: rep, the last stage's output, with its corner
-    on the pipeline's original space (embed).  Its full defects are the last
-    row's, which measured the same representation."""
-    if not stages:
-        return _stage_record("compression", rep, embed)
-    return replace(
-        stages[-1],
-        kind="compression",
-        corner_toeplitz=toeplitz_defect(rep, embed),
-        corner_ck=ck_defect(rep, embed),
-    )
-
-
-def _run_steps(rep: GraphRep, constructions, tol: Tolerance, stages: list):
+def _run_steps(rep: GraphRep, constructions, tol: Tolerance, stages: list, sizes=()):
     """Apply the one-step constructions in order, appending one StageRecord
-    per step (corner: the step's input space) to stages.  Returns the last
-    representation, the isometry of rep's space into it, and whether the
-    dimension cap cut the run short."""
-    current, E = rep, np.eye(rep.dim, dtype=complex)
+    per step (corner: the step's input, its output's leading coordinates)
+    to stages.  Each output is measured in one pass once the next step is
+    built, so the last one's also covers sizes.  Returns the last
+    representation, whether the cap cut the run short, and its corners."""
+    current, last, capped = rep, None, False   # last: the step that built current
     for construct in constructions:
         try:
             step = construct(current, tol)
         except ResourceCapError:
-            return current, E, True
-        stages.append(_stage_record(step.kind, step.rep_after, step.embed))
-        E = step.embed @ E
-        current = step.rep_after
-    return current, E, False
+            capped = True
+            break
+        if last is not None:
+            _measure(stages, last.kind, current, last.old_dim)
+        current, last = step.rep_after, step
+    corners = {} if last is None else _measure(stages, last.kind, current, last.old_dim, sizes)
+    return current, capped, corners
 
 
 def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
     """n isometric steps, closed by a "compression" row that measures the
     last stage on the original space.  The steps build the truncated Fock
     tower, which the original space generates, so no reduction runs: the
-    final representation is the last step's output and embed the composed
-    step embeds.  Guarantee per stage: the Toeplitz defect compressed to the
+    final representation is the last step's output and embed its leading
+    coordinates.  Guarantee per stage: the Toeplitz defect compressed to the
     previous stage's space is <= tol.eps.  Each step checks that its input
     is a row contraction (ContractivityError otherwise); with no step to
     run, the check of rep runs here."""
@@ -389,20 +376,35 @@ def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TO
     if not steps:
         _require_row_contraction(rep, tol)
     stages: list[StageRecord] = []
-    current, E, capped = _run_steps(rep, steps, tol, stages)
-    stages.append(_compression_record(stages, current, E))
+    final, capped, corners = _run_steps(rep, steps, tol, stages, (rep.dim,))
+    if not stages:   # no step ran: the row measures rep itself
+        _measure(stages, "compression", rep, rep.dim)
+    else:   # the last row's representation, on the original space
+        t, c = corners[rep.dim]
+        stages.append(replace(stages[-1], kind="compression", corner_toeplitz=t, corner_ck=c))
     converged = not capped and all(s.corner_toeplitz <= tol.eps for s in stages)
-    return PipelineReport(tuple(stages), converged, current, E, capped)
+    return PipelineReport(tuple(stages), converged, final,
+                          np.eye(final.dim, rep.dim, dtype=complex), capped)
 
 
 def iterate_ck(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
     """n Cuntz-Krieger steps, without a reduction.  Guarantee per stage: the
     Cuntz-Krieger defect compressed to the previous stage's space is
-    <= tol.eps; converged says every stage met it and the cap was not hit."""
+    <= tol.eps; converged says every stage met it and the cap was not hit.
+    Each step checks that its input is a row contraction
+    (ContractivityError otherwise); with no step to run, the check of rep
+    runs here and converged says whether rep itself meets the
+    Cuntz-Krieger relation."""
+    steps = [one_step_ck] * int(n_steps)
+    if not steps:
+        _require_row_contraction(rep, tol)
+        return PipelineReport((), ck_defect(rep) <= tol.eps, rep,
+                              np.eye(rep.dim, dtype=complex))
     stages: list[StageRecord] = []
-    current, E, capped = _run_steps(rep, [one_step_ck] * int(n_steps), tol, stages)
+    final, capped, _ = _run_steps(rep, steps, tol, stages)
     converged = not capped and all(s.corner_ck <= tol.eps for s in stages)
-    return PipelineReport(tuple(stages), converged, current, E, capped)
+    return PipelineReport(tuple(stages), converged, final,
+                          np.eye(final.dim, rep.dim, dtype=complex), capped)
 
 
 def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
@@ -419,31 +421,24 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
     (ContractivityError otherwise); when no step runs, the check of rep runs
     here.
     """
-    current = rep
-    E_orig = np.eye(rep.dim, dtype=complex)
+    d, current, capped = rep.dim, rep, False
     stages: list[StageRecord] = []
-    done = toeplitz_defect(current) <= tol.eps and ck_defect(current) <= tol.eps
+    round_steps = (one_step_ck, one_step_isometric)
+    done = toeplitz_defect(rep) <= tol.eps and ck_defect(rep) <= tol.eps
     if done or int(max_rounds) < 1:
         _require_row_contraction(rep, tol)
-    if done:
-        return PipelineReport((), True, current, E_orig, False)
-    for k in range(int(max_rounds)):
-        dilated, E_round, capped = _run_steps(current, (one_step_ck, one_step_isometric), tol, stages)
+    for _ in range(0 if done else int(max_rounds)):
+        dilated, capped, corners = _run_steps(current, round_steps, tol, stages, (d, current.dim))
         if capped:
-            return PipelineReport(tuple(stages), False, current, E_orig, True)
+            break
+        done = max(corners[current.dim]) <= tol.eps   # on the round's input
         current = dilated
-        E_orig = E_round @ E_orig
-        row = _compression_record(stages, current, E_orig)
-        stages.append(row)
-        if k == 0:
-            # E_orig is E_round in the first round: the row measured this corner
-            done = row.corner_toeplitz <= tol.eps and row.corner_ck <= tol.eps
-        else:
-            done = (toeplitz_defect(current, E_round) <= tol.eps
-                    and ck_defect(current, E_round) <= tol.eps)
+        t, c = corners[d]
+        stages.append(replace(stages[-1], kind="compression", corner_toeplitz=t, corner_ck=c))
         if done:
-            return PipelineReport(tuple(stages), True, current, E_orig, False)
-    return PipelineReport(tuple(stages), False, current, E_orig, False)
+            break
+    return PipelineReport(tuple(stages), done, current, np.eye(current.dim, d, dtype=complex),
+                          capped)
 
 
 def moment_signature(rep: GraphRep, seed: Subspace, max_len: int) -> dict:

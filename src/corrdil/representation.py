@@ -178,23 +178,36 @@ class RowContractionReport:
         return max((c.margin for c in self.per_vertex), default=None)
 
 
+def _toeplitz_residual(rep: GraphRep, e, f) -> np.ndarray:
+    """t(e)* t(f) - delta_ef proj(s(e)) for edges e, f."""
+    R = rep.edge_op[e.eid].conj().T @ rep.edge_op[f.eid]
+    return R - rep.proj[e.src] if e.eid == f.eid else R
+
+
+def _ck_residuals(rep: GraphRep):
+    """proj(v) - sum_{r(e)=v} t(e) t(e)* for each finite receiver v, in order."""
+    for v in finite_receivers(rep.graph):
+        R = rep.proj[v].copy()
+        for e in range_fiber(rep.graph, v):
+            R -= rep.edge_op[e] @ rep.edge_op[e].conj().T
+        yield R
+
+
+def _max_norm(rep: GraphRep, residuals, embed) -> float:
+    """max ||R||, or max ||embed* R embed|| with an embed into rep's space."""
+    E = None if embed is None else as_cmatrix(embed, rows=rep.dim)
+    return max((op_norm(R if E is None else E.conj().T @ R @ E) for R in residuals), default=0.0)
+
+
 def row_contraction_check(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> RowContractionReport:
-    """Per vertex with a nonempty fiber, check the block matrix
-    [t(e)* t(f)] over e, f in the fiber is dominated by diag(proj(s(e)))."""
+    """Per vertex with a nonempty fiber, check that the block matrix of the
+    Toeplitz residuals over e, f in the fiber has no eigenvalue > eig_clip."""
     results = []
     for v in rep.graph.vertices:
-        fiber = range_fiber(rep.graph, v)
+        fiber = [rep.graph.edge(e) for e in range_fiber(rep.graph, v)]
         if not fiber:
             continue
-        n, d = len(fiber), rep.dim
-        block = np.zeros((n * d, n * d), dtype=complex)
-        for i, e in enumerate(fiber):
-            for j, f in enumerate(fiber):
-                block[i * d:(i + 1) * d, j * d:(j + 1) * d] = (
-                    rep.edge_op[e].conj().T @ rep.edge_op[f]
-                )
-            src = rep.graph.edge(e).src
-            block[i * d:(i + 1) * d, i * d:(i + 1) * d] -= rep.proj[src]
+        block = np.block([[_toeplitz_residual(rep, e, f) for f in fiber] for e in fiber])
         w = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
         margin = float(w.max())
         results.append(VertexContraction(vertex=v, margin=margin, passed=margin <= tol.eig_clip))
@@ -207,16 +220,8 @@ def toeplitz_defect(rep: GraphRep, embed=None) -> float:
     With an isometry embed into rep's space each residual R is compressed
     to embed* R embed, the defect on embed's range.
     """
-    E = None if embed is None else as_cmatrix(embed, rows=rep.dim)
-    worst = 0.0
-    for e in rep.graph.edges:
-        Te = rep.edge_op[e.eid]
-        for f in rep.graph.edges:
-            val = Te.conj().T @ rep.edge_op[f.eid]
-            if e.eid == f.eid:
-                val = val - rep.proj[e.src]
-            worst = max(worst, op_norm(val if E is None else E.conj().T @ val @ E))
-    return worst
+    edges = rep.graph.edges
+    return _max_norm(rep, (_toeplitz_residual(rep, e, f) for e in edges for f in edges), embed)
 
 
 def ck_defect(rep: GraphRep, embed=None) -> float:
@@ -225,13 +230,20 @@ def ck_defect(rep: GraphRep, embed=None) -> float:
 
     Vertices outside the finite receivers impose no condition.
     """
-    E = None if embed is None else as_cmatrix(embed, rows=rep.dim)
-    worst = 0.0
-    for v in finite_receivers(rep.graph):
-        acc = rep.proj[v].copy()
-        for e in range_fiber(rep.graph, v):
-            acc -= rep.edge_op[e] @ rep.edge_op[e].conj().T
-        worst = max(worst, op_norm(acc if E is None else E.conj().T @ acc @ E))
+    return _max_norm(rep, _ck_residuals(rep), embed)
+
+
+def _corner_defects(rep: GraphRep, sizes) -> dict:
+    """{k: [toeplitz, ck]} on the leading k coordinates for each k in sizes,
+    all read from one pass over the residuals: E* R E is R[:k, :k] exactly
+    for E = np.eye(rep.dim, k), and k = rep.dim gives the full defects."""
+    worst = {k: [0.0, 0.0] for k in sizes}
+    edges = rep.graph.edges
+    toeplitz = (_toeplitz_residual(rep, e, f) for e in edges for f in edges)
+    for i, residuals in enumerate((toeplitz, _ck_residuals(rep))):
+        for R in residuals:
+            for k, w in worst.items():
+                w[i] = max(w[i], op_norm(R[:k, :k]))
     return worst
 
 

@@ -149,6 +149,31 @@ def test_dilate_ck_capped(cuntz2_zero_file, capsys):
     assert "result: CAPPED (exit 3)" in out
 
 
+@pytest.mark.parametrize("t, steps, code", [
+    (0.5, "0", 1), (0.5, "-3", 1), (1.0, "0", 0),
+])
+def test_dilate_ck_without_steps_checks_the_input(tmp_path, capsys, t, steps, code):
+    g = cuntz_graph(1)
+    rep = GraphRep(g, 1, {"v": np.eye(1)}, {"e0": np.array([[t]])})
+    path = tmp_path / "loop.json"
+    save_problem(ProblemFile(g, None, rep, Tolerance()), path)
+    argv = ["dilate", "--mode", "ck", "--steps", steps, "--format", "records", str(path)]
+    assert main(argv) == code
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert not [r for r in rows if r["record"] == "stage"]
+    corner = [r for r in rows if r["record"] == "check" and r["name"] == "corner-ck-defect"]
+    assert len(corner) == 1
+    assert corner[0]["value"] == pytest.approx(1.0 - t * t, abs=1e-15)
+
+
+def test_dilate_ck_capped_before_first_step(cuntz2_zero_file, capsys):
+    argv = ["dilate", "--mode", "ck", "--steps", "1", "--max-dim", "2", cuntz2_zero_file]
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert "ck-step" not in out
+    assert "result: CAPPED (exit 3)" in out
+
+
 @pytest.mark.parametrize("text, where", [
     ('{"graph": {"vertices": ["v"], "edges": []}, "tolerance": {"eps": [1]}}',
      "tolerance.eps"),

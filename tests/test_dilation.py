@@ -546,10 +546,43 @@ def test_barely_expansive_loop_fails_only_the_row_check():
     pytest.param(lambda: iterate_coextension(barely_expansive_loop(), 0), id="coext-no-steps"),
     pytest.param(lambda: iterate_coextension(barely_expansive_loop(), 2), id="coext"),
     pytest.param(lambda: cp_dilate(loop_rep(2.0), 2), id="cp"),
+    pytest.param(lambda: iterate_ck(barely_expansive_loop(), 0), id="ck-no-steps"),
 ])
 def test_pipelines_reject_non_row_contractions(run):
     with pytest.raises(ContractivityError, match=r"row contraction fails at vertices \['v'\]"):
         run()
+
+
+@pytest.mark.parametrize("t, converged", [(0.5, False), (1.0, True)])
+def test_iterate_ck_without_steps_measures_its_input(t, converged):
+    report = iterate_ck(loop_rep(t), 0)
+    assert report.steps == () and not report.capped
+    assert report.converged is converged
+
+
+def slow_loop() -> GraphRep:
+    # the CK step drops the defect eigenvalue 1 - (1 - 1e-7) = 1e-7, which lies
+    # between eps and eig_clip below, so no cp_dilate round converges
+    g = DirectedGraph(("v",), (("e", "v", "v"),))
+    t = np.diag([np.sqrt(0.5), np.sqrt(1.0 - 1e-7)])
+    return GraphRep(g, 2, {"v": np.eye(2)}, {"e": t})
+
+
+@pytest.mark.parametrize("max_dim, dims, capped", [
+    (4096, [3, 4, 4, 5, 6, 6, 7, 8, 8, 9, 10, 10], False),
+    (8, [3, 4, 4, 5, 6, 6, 7, 8, 8], True),
+])
+def test_cp_dilate_past_round_one(max_dim, dims, capped):
+    report = cp_dilate(slow_loop(), 4, tol=Tolerance(eig_clip=1e-6, max_dim=max_dim))
+    assert [s.new_dim for s in report.steps] == dims
+    assert [s.kind for s in report.steps] == [
+        "ck-step", "isometric-step", "compression"
+    ] * (len(dims) // 3)
+    assert not report.converged and report.capped is capped
+    assert np.array_equal(report.embed, np.eye(dims[-1], 2))
+    assert report.final_rep.dim == dims[-1]
+    for row in report.steps[2::3]:
+        assert row.corner_ck == pytest.approx(1e-7, rel=1e-6)
 
 
 def test_cp_dilate_capped():
