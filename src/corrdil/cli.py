@@ -28,7 +28,7 @@ from .exceptions import (
 from .gauge import verify_action, verify_group
 from .graph import finite_receivers, satisfies_hyperrigidity_criterion
 from .io import ProblemFile, load_problem, save_problem
-from .linalg import Tolerance, op_norm
+from .linalg import Tolerance, _max_op_norms
 from .representation import (
     CheckLine,
     GraphRep,
@@ -285,11 +285,9 @@ def cmd_induce(args) -> Report:
     report.checks.append(CheckLine("induced.covariance-defect", cov, tol.eps, cov <= tol.eps))
     d, e = rep.dim, pf.action.group.identity
     sl = slice(e * d, (e + 1) * d)
-    corner_dev = 0.0
-    for v in rep.graph.vertices:
-        corner_dev = max(corner_dev, op_norm(ind.proj[v][sl, sl] - rep.proj[v]))
-    for edge in rep.graph.edges:
-        corner_dev = max(corner_dev, op_norm(ind.edge_op[edge.eid][sl, sl] - rep.edge_op[edge.eid]))
+    pairs = [(ind.proj[v], rep.proj[v]) for v in rep.graph.vertices] + [
+        (ind.edge_op[e.eid], rep.edge_op[e.eid]) for e in rep.graph.edges]
+    corner_dev = _max_op_norms(big[sl, sl] - small for big, small in pairs)[0]
     report.checks.append(
         CheckLine("induced.identity-corner-deviation", corner_dev, tol.eps, corner_dev <= tol.eps)
     )

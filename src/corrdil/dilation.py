@@ -273,7 +273,9 @@ def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
     for v, defect in zip(finite_receivers(graph), _ck_residuals(rep)):
         A = basis[v].conj().T @ defect @ basis[v]
         w, s, V = _eigen_factor(A, tol.eig_clip)
-        if w.min(initial=0.0) < -tol.eig_clip or op_norm(A - A.conj().T) > tol.eps:
+        skew = A - A.conj().T   # ||.||_2 <= ||.||_F: the SVD runs only when inconclusive
+        if w.min(initial=0.0) < -tol.eig_clip or (
+                np.linalg.norm(skew) > tol.eps and op_norm(skew) > tol.eps):
             raise PositivityError(
                 f"Cuntz-Krieger defect at vertex {v!r} is not positive semidefinite"
             )

@@ -29,7 +29,7 @@ serialization sorts keys, prints floats with 17 significant digits, and is
 byte-stable under parse/write round trips.
 
 Matrices take array fast paths both ways: matrix_to_json converts with one
-tolist, the emitter writes each [re, im] pair with one join, and
+tolist, the emitter writes each row of [re, im] pairs with one join, and
 matrix_from_json converts with one np.array once the JSON types check out.
 Input the fast path does not accept goes through the entry-by-entry loop,
 which names the first bad row or entry, so the bytes written and every
@@ -90,6 +90,12 @@ def _fmt_scalar(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+def _is_pair_row(obj: list) -> bool:
+    """obj is a nonempty list of [re, im] lists of two floats."""
+    return (bool(obj) and {*map(type, obj)} == {list} and {*map(len, obj)} == {2}
+            and {*map(type, chain.from_iterable(obj))} == {float})
+
+
 def _emit(obj, indent: int) -> tuple:
     """The canonical text of obj at the given indent level, and its depth:
     0 for a scalar, 3 for a dict (which forces dicts onto their own lines),
@@ -108,6 +114,10 @@ def _emit(obj, indent: int) -> tuple:
         if obj and all(type(x) is float for x in obj):
             # the [re, im] pair of a matrix entry; see _fmt_scalar for the + 0.0
             return "[" + ", ".join([format(x + 0.0, ".17g") for x in obj]) + "]", 1
+        if _is_pair_row(obj):
+            # a matrix row: the same text as one pair at a time, in one join
+            pairs = [f"[{re + 0.0:.17g}, {im + 0.0:.17g}]" for re, im in obj]
+            return "[" + ", ".join(pairs) + "]", 2
         items = [_emit(x, indent + 1) for x in obj]
         depth = 1 + max((d for _, d in items), default=0)
         if depth <= 2:

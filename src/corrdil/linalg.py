@@ -140,6 +140,77 @@ def op_norm(M) -> float:
     return float(np.linalg.norm(A, 2))
 
 
+# Residuals are normed in stacks of at most this many bytes: one batched
+# SVD per stack instead of one call per residual, in memory that stays
+# bounded however many residuals a measurement has.
+_STACK_BYTES = 1 << 20
+
+
+def _stacks(residuals):
+    """The residual matrices in order, packed into (m, rows, cols) complex
+    stacks of one shape and at most _STACK_BYTES each (a larger residual
+    is a stack of its own)."""
+    S, m = None, 0
+    for R in residuals:
+        if S is not None and (m == len(S) or R.shape != S.shape[1:]):
+            yield S[:m]
+            S = None
+        if S is None:
+            cap = max(1, _STACK_BYTES // (16 * max(R.size, 1)))
+            S, m = np.empty((cap, *R.shape), dtype=complex), 0
+        S[m] = R
+        m += 1
+    if S is not None:
+        yield S[:m]
+
+
+def _stack_max(S: np.ndarray, floor: float) -> float:
+    """max(floor, max_i ||S[i]||_2), with an exact SVD only for the
+    candidates: the S[i] whose Frobenius norm (an upper bound) reaches the
+    largest column norm (a lower bound) of the stack and floor.
+
+    Both bounds are sums of the same squared entries; the Frobenius one
+    sums the computed column sums, so rounding keeps it at or above every
+    column norm of its own matrix.  Between matrices the two naive sums
+    are each within (rows + cols) ulps of exact, which the slack of the
+    candidate test covers: no residual whose norm can reach the maximum is
+    dropped, and the value returned is an exact SVD (or floor)."""
+    if S.size == 0:
+        return floor
+    with np.errstate(over="ignore"):   # inf bounds only widen the candidates
+        col2 = (S.real ** 2 + S.imag ** 2).sum(axis=1)
+        fro2 = col2.sum(axis=1)
+        best2 = max(floor * floor, float(col2.max()))
+    slack = 4 * (S.shape[1] + S.shape[2]) * np.finfo(float).eps
+    # "not below", so that a NaN bound stays a candidate: its SVD raises
+    # LinAlgError, as op_norm does, instead of the residual dropping out
+    cand = ~(fro2 < best2 * (1.0 - slack))
+    if not cand.any():
+        return floor
+    # np.maximum keeps the NaN norm of a residual with an inf entry (an
+    # overflowed product), which Python's max would drop
+    return float(np.maximum(floor, np.linalg.svd(S[cand], compute_uv=False)[:, 0].max()))
+
+
+def _max_op_norms(residuals, sizes=(None,)) -> list:
+    """[max_i ||R_i[:k, :k]||_2 for k in sizes], k = None standing for all
+    of R_i and 0 for no residual or an empty block, from one pass over the
+    residuals in _STACK_BYTES stacks.  This is the one place that takes a
+    maximum of operator norms; each value is an exact SVD of a maximizing
+    residual, pruned by the certified bounds of _stack_max."""
+    worst = [0.0] * len(sizes)
+    for S in _stacks(residuals):
+        worst = [_stack_max(S[:, :k, :k], w) for k, w in zip(sizes, worst)]
+    return worst
+
+
+def _op_norms(residuals) -> np.ndarray:
+    """||R_i||_2 for every residual, in order, one batched SVD per stack."""
+    norms = [np.linalg.norm(S, 2, axis=(1, 2)) if S.size else np.zeros(len(S))
+             for S in _stacks(residuals)]
+    return np.concatenate(norms) if norms else np.zeros(0)
+
+
 def _hermitian_part(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 

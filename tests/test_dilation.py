@@ -282,6 +282,22 @@ def test_ck_step_rejects_non_psd_defect():
         one_step_ck(rep)
 
 
+@pytest.mark.parametrize("skew, raises", [(0.5, False), (0.9, False), (2.0, True)])
+def test_ck_step_hermitian_decision_by_operator_norm(skew, raises):
+    # proj(v) = I + S with S* = -S: the compressed CK defect A has
+    # ||A - A*|| = skew * eps in operator norm and sqrt 2 times that in
+    # Frobenius norm, so at 0.9 eps only the exact norm admits the input
+    s = 0.5 * skew * DEFAULT_TOL.eps
+    S = np.array([[0.0, s], [-s, 0.0]])
+    rep = GraphRep(cuntz_graph(1), 2, {"v": np.eye(2) + S}, {"e0": 0.5 * np.eye(2)})
+    assert row_contraction_check(rep).passed
+    if raises:
+        with pytest.raises(PositivityError, match="not positive semidefinite"):
+            one_step_ck(rep)
+    else:
+        assert one_step_ck(rep).new_dim == 4
+
+
 @pytest.mark.parametrize("lam, raises", [(2.0, True), (0.5, False)], ids=["above", "below"])
 def test_ck_step_positivity_decision_at_eig_clip(lam, raises):
     # proj(v) - t t* = -lam * eig_clip on H_v: a negative eigenvalue within

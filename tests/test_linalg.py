@@ -22,6 +22,8 @@ from corrdil import (
     orthonormal_closure,
     psd_sqrt,
 )
+from corrdil import linalg
+from corrdil.linalg import _max_op_norms, _op_norms
 from helpers import rng_for, sqrtm_psd
 
 
@@ -228,6 +230,129 @@ def test_closure_invariant_under_generators():
         # seeds are contained
         for s in seeds:
             assert np.linalg.norm(s - P @ s) <= 1e-8 * np.linalg.norm(s)
+
+
+# ---------------------------------------------------------------- stacked residual norms
+
+def brute_max(residuals, k=None) -> float:
+    """The per-residual reference: one op_norm per (leading block of a) residual."""
+    return max((op_norm(R[:k, :k]) for R in residuals), default=0.0)
+
+
+def assert_max_norms_match(residuals, sizes=(None,)):
+    got = _max_op_norms(iter(residuals), sizes)
+    for k, value in zip(sizes, got):
+        assert value == pytest.approx(brute_max(residuals, k), rel=1e-12, abs=0.0), k
+
+
+def random_residuals(rng, count: int, n: int, spread: float = 8.0) -> list:
+    """Complex n x n residuals whose scales span 10^-spread .. 1."""
+    return [
+        10.0 ** -rng.uniform(0.0, spread)
+        * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_max_op_norms_match_brute_force(seed):
+    rng = rng_for(1300 + seed)
+    n = int(rng.integers(1, 12))
+    residuals = random_residuals(rng, int(rng.integers(1, 60)), n)
+    assert_max_norms_match(residuals, (None, 0, 1, n // 2, n))
+
+
+def test_max_op_norms_pick_between_equal_bounds():
+    # one nonzero column: Frobenius norm = column norm = operator norm, so
+    # every residual ties its own bounds and the scaled copies tie each other
+    rng = rng_for(1310)
+    u = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    column = np.zeros((5, 5), dtype=complex)
+    column[:, 2] = u
+    residuals = [column, 0.5 * column, column.copy(), np.roll(column, 1, axis=1)]
+    assert_max_norms_match(residuals, (None, 2, 3))
+    assert _max_op_norms(residuals)[0] == op_norm(column)
+    # general rank one, u v*: Frobenius norm = operator norm > column norm
+    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    rank_one = [np.outer(u, v.conj()) * s for s in (1.0, 1.0 - 1e-15, 0.3)]
+    assert_max_norms_match(rank_one + random_residuals(rng, 10, 5, spread=1.0), (None, 4))
+
+
+def test_max_op_norms_of_nothing_and_of_zeros():
+    assert _max_op_norms([]) == [0.0]
+    assert _max_op_norms([], (None, 0, 3)) == [0.0, 0.0, 0.0]
+    zeros = [np.zeros((4, 4), dtype=complex)] * 5
+    assert _max_op_norms(zeros, (None, 2)) == [0.0, 0.0]
+    empty = [np.zeros((0, 0), dtype=complex)] * 3   # the residuals of a dim-0 rep
+    assert _max_op_norms(empty, (None, 0)) == [0.0, 0.0]
+    some = random_residuals(rng_for(1320), 4, 3)
+    assert _max_op_norms(some, (0,)) == [0.0]
+
+
+def test_max_op_norms_do_not_drop_a_non_finite_residual():
+    # an overflowed product is never pruned or passed over: a NaN residual
+    # raises as op_norm does, and a residual with an inf entry makes the
+    # maximum NaN, which fails every "<= eps" check
+    rng = rng_for(1325)
+    finite = random_residuals(rng, 5, 3)
+    nan = np.full((3, 3), np.nan, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norm(nan)
+    for residuals in ([nan], [nan, nan], finite + [nan]):
+        with pytest.raises(np.linalg.LinAlgError):
+            _max_op_norms(residuals)
+    inf = np.eye(3, dtype=complex)
+    inf[0, 1] = np.inf
+    for residuals in ([inf], finite + [inf], [inf] + finite):
+        assert all(np.isnan(_max_op_norms(residuals, (None, 2))))
+    assert np.isnan(_op_norms([finite[0], inf])[1])
+
+
+@pytest.mark.parametrize("budget", [16, 700, 4096])
+def test_max_op_norms_across_stack_boundaries(monkeypatch, budget):
+    # stacks of one, a few and many residuals; the largest residual sits at
+    # the start, the middle and the end of the sequence in turn
+    monkeypatch.setattr(linalg, "_STACK_BYTES", budget)
+    rng = rng_for(1330)
+    residuals = random_residuals(rng, 40, 4)
+    big = 3.0 * residuals[0] / op_norm(residuals[0])
+    for at in (0, 20, 40):
+        assert_max_norms_match(residuals[:at] + [big] + residuals[at:], (None, 1, 3))
+
+
+def test_max_op_norms_straddling_the_byte_budget():
+    # 7 x 7 complex residuals are 784 bytes: the first stack holds 1337 of
+    # them, so 1500 residuals take two stacks, the maximum in the second
+    rng = rng_for(1340)
+    residuals = random_residuals(rng, 1500, 7, spread=2.0)
+    assert 1500 * residuals[0].nbytes > linalg._STACK_BYTES
+    residuals[1400] *= 1e3
+    assert_max_norms_match(residuals, (None, 5))
+    # a residual larger than the budget is a stack of its own
+    n = int(np.sqrt(linalg._STACK_BYTES / 16)) + 1
+    huge = np.zeros((n, n), dtype=complex)
+    huge[0, -1] = 2.0
+    assert _max_op_norms([huge, residuals[0]]) == [2.0]
+
+
+def test_max_op_norms_mixed_shapes():
+    # a change of shape starts a new stack; leading blocks clip at each size
+    rng = rng_for(1350)
+    residuals = []
+    for n in (3, 3, 5, 1, 5, 5, 2, 3, 0, 4):
+        residuals.extend(random_residuals(rng, int(rng.integers(1, 5)), n, spread=3.0))
+    assert_max_norms_match(residuals, (None, 0, 1, 2, 4, 9))
+
+
+def test_op_norms_every_residual_in_order(monkeypatch):
+    monkeypatch.setattr(linalg, "_STACK_BYTES", 1000)
+    rng = rng_for(1360)
+    residuals = []
+    for n in (2, 2, 2, 6, 6, 0, 3):
+        residuals.extend(random_residuals(rng, 5, n, spread=4.0))
+    want = [op_norm(R) for R in residuals]
+    np.testing.assert_allclose(_op_norms(iter(residuals)), want, rtol=1e-12, atol=0.0)
+    assert _op_norms([]).shape == (0,)
 
 
 # ---------------------------------------------------------------- Tolerance & shapes

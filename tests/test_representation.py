@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from corrdil import (
     trivial_action,
     validate,
 )
+from corrdil.linalg import _STACK_BYTES
+from corrdil.representation import _corner_defects
 from helpers import (
     cuntz_graph,
     cycle_graph,
@@ -85,6 +88,17 @@ def test_validate_flags_broken_multiplicativity():
     report = validate(rep)
     assert not report.passed
     assert any("multiplicative" in c.name and not c.passed for c in report.checks)
+
+
+def test_validate_fails_an_overflowed_residual():
+    # t(e) proj(v) overflows to inf, so its norm is NaN: the check fails,
+    # although it is the second of module-covariance's two residuals
+    g = DirectedGraph(("v", "w"), (("e", "v", "w"),))
+    rep = GraphRep(g, 1, {"v": np.array([[1e200]]), "w": np.eye(1)}, {"e": np.array([[1e200]])})
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = {c.name: c for c in validate(rep).checks}
+    line = checks["module-covariance[e]"]
+    assert np.isnan(line.value) and not line.passed
 
 
 def test_validate_random_cc_reps():
@@ -210,6 +224,41 @@ def test_covariance_defect_examples():
 def test_covariance_defect_requires_action():
     with pytest.raises(ConfigurationError):
         covariance_defect(loop_rep(0.5))
+
+
+def stacked_norm_peak_rep() -> GraphRep:
+    """6 edges on dimension 156, the largest stage the Cuntz-Pimsner
+    benchmark measures: the Z2 pair swap of the Cuntz-6 loops induced from
+    a random 78-dimensional representation."""
+    g = cuntz_graph(6)
+    swap = np.eye(6)[[1, 0, 3, 2, 5, 4]]
+    action = GaugeAction(FiniteGroup.cyclic(2), g, ({"v": "v"}, {"v": "v"}), {(1, "v", "v"): swap})
+    return induced_regular_rep(random_cc_rep(rng_for(1400), g, 78), action)
+
+
+def traced_peak(measure) -> int:
+    tracemalloc.start()
+    try:
+        measure()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("measure", [
+    lambda rep: _corner_defects(rep, {rep.dim, 78, 1}),
+    toeplitz_defect,
+    covariance_defect,
+], ids=["corner-defects", "toeplitz", "covariance"])
+def test_stacked_norms_stay_within_the_byte_budget(measure):
+    # the residual norms are taken in stacks of at most _STACK_BYTES, so the
+    # peak is a few budgets however many residuals there are, far below a
+    # stack of all |E|^2 Toeplitz residuals at once
+    rep = stacked_norm_peak_rep()
+    assert (rep.dim, len(rep.graph.edges)) == (156, 6)
+    all_pairs = 36 * rep.dim ** 2 * 16
+    assert all_pairs > 12 * _STACK_BYTES
+    assert traced_peak(lambda: measure(rep)) < 4 * _STACK_BYTES
 
 
 # ---------------------------------------------------------------- induced rep
