@@ -15,7 +15,7 @@ import numpy as np
 from .correspondence import CoeffElement, CorrElement
 from .exceptions import GraphLookupError, StructureError
 from .graph import DirectedGraph, edge_bucket
-from .linalg import DEFAULT_TOL, Tolerance, as_cmatrix, op_norm
+from .linalg import DEFAULT_TOL, Tolerance, _norm_within, as_cmatrix
 
 __all__ = [
     "CheckResult",
@@ -236,9 +236,9 @@ def verify_action(a: GaugeAction, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
             U = a.bucket_unitary[(gi, v, w)]
             if U.shape != (n, n):
                 return CheckResult(False, f"bucket matrix ({gi}, {v!r}, {w!r}) has wrong shape")
-            if op_norm(U.conj().T @ U - np.eye(n)) > tol.eps:
+            if not _norm_within(U.conj().T @ U - np.eye(n), tol.eps):
                 return CheckResult(False, f"bucket matrix ({gi}, {v!r}, {w!r}) is not unitary")
-        if op_norm(a.bucket_unitary[(e, v, w)] - np.eye(n)) > tol.eps:
+        if not _norm_within(a.bucket_unitary[(e, v, w)] - np.eye(n), tol.eps):
             return CheckResult(False, f"identity bucket matrix on ({v!r}, {w!r}) is not I")
     for gi in g_ids:
         for hi in g_ids:
@@ -252,7 +252,7 @@ def verify_action(a: GaugeAction, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
                 vh, wh = a.vertex_perm[hi][v], a.vertex_perm[hi][w]
                 lhs = a.bucket_unitary[(gh, v, w)]
                 rhs = a.bucket_unitary[(gi, vh, wh)] @ a.bucket_unitary[(hi, v, w)]
-                if op_norm(lhs - rhs) > tol.eps:
+                if not _norm_within(lhs - rhs, tol.eps):
                     return CheckResult(
                         False,
                         f"bucket matrices fail homomorphism at ({gi}, {hi}), bucket ({v!r}, {w!r})",

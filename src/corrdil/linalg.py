@@ -99,8 +99,7 @@ class Subspace:
             raise DimensionError(
                 f"{B.shape[1]} basis vectors in ambient dimension {self.ambient_dim}"
             )
-        gram = B.conj().T @ B
-        if B.shape[1] and op_norm(gram - np.eye(B.shape[1])) > 1e-6:
+        if not _norm_within(B.conj().T @ B - np.eye(B.shape[1]), 1e-6):
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", B)
 
@@ -192,6 +191,12 @@ def _stack_max(S: np.ndarray, floor: float) -> float:
     return float(np.maximum(floor, np.linalg.svd(S[cand], compute_uv=False)[:, 0].max()))
 
 
+def _norm_within(X: np.ndarray, bound: float) -> bool:
+    """||X||_2 <= bound, False for a NaN norm.  With bound as the floor of
+    _stack_max, the SVD runs only when the Frobenius norm does not settle it."""
+    return _stack_max(X[None], bound) <= bound
+
+
 def _max_op_norms(residuals, sizes=(None,)) -> list:
     """[max_i ||R_i[:k, :k]||_2 for k in sizes], k = None standing for all
     of R_i and 0 for no residual or an empty block, from one pass over the
@@ -238,7 +243,7 @@ def is_psd(M, tol: Tolerance = DEFAULT_TOL) -> bool:
         raise DimensionError(f"is_psd needs a square matrix, got {A.shape}")
     if A.size == 0:
         return True
-    if op_norm(A - A.conj().T) > tol.eps:
+    if not _norm_within(A - A.conj().T, tol.eps):
         return False
     w = np.linalg.eigvalsh(_hermitian_part(A))
     return bool(w.min() >= -tol.eig_clip)
@@ -267,8 +272,8 @@ def defect_sqrt(T, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     all of them are clamped to 0.
     """
     A = as_cmatrix(T)
-    if op_norm(A) > 1.0 + tol.eps:
-        raise ContractivityError("operator norm exceeds 1 beyond tolerance")
+    if not _norm_within(A, 1.0 + tol.eps):
+        raise ContractivityError("matrix is not a contraction within tolerance")
     return _sqrt_from(_eigen_factor(np.eye(A.shape[1], dtype=complex) - A.conj().T @ A, 0.0))
 
 

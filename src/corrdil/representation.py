@@ -226,7 +226,7 @@ def row_contraction_check(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> RowCon
             continue
         block = np.block([[_toeplitz_residual(rep, e, f) for f in fiber] for e in fiber])
         w = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-        margin = float(w.max())
+        margin = float(w.max()) if w.size else 0.0   # an empty block is the zero operator
         results.append(VertexContraction(vertex=v, margin=margin, passed=margin <= tol.eig_clip))
     return RowContractionReport(tuple(results))
 

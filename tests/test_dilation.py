@@ -50,7 +50,7 @@ from helpers import (
     z3_loop_rotation,
     zero_rep,
 )
-from test_representation import loop_rep, two_cycle_isometric
+from test_representation import empty_rep, loop_rep, two_cycle_isometric
 
 
 # ---------------------------------------------------------------- one_step_isometric
@@ -174,6 +174,48 @@ def test_isometric_step_rejects_expansive_fiber_past_row_check():
     assert row_contraction_check(rep).passed
     with pytest.raises(ContractivityError):
         one_step_isometric(rep)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0], ids=["within", "beyond"])
+def test_isometric_step_row_decision_is_the_row_check(lam):
+    # t = sqrt(1 + lam * eig_clip): the row margin is lam * eig_clip and the
+    # step's factor has the eigenvalue -lam * eig_clip, one test on either
+    rep = loop_rep(np.sqrt(1.0 + lam * DEFAULT_TOL.eig_clip))
+    if row_contraction_check(rep).passed:
+        assert one_step_isometric(rep).new_dim == 1
+    else:
+        with pytest.raises(ContractivityError,
+                           match=r"row contraction fails at vertices \['v'\]; cannot dilate"):
+            one_step_isometric(rep)
+
+
+def noisy_projection_rep() -> GraphRep:
+    # e: w -> v, f: v -> w, l: v -> v with proj(v) = diag(1, 1, 1e-9, 1e-9),
+    # exact only to 1e-9: a validated row contraction whose dilation is an
+    # isometry on ran proj(w), where the row check weighs by 1 - 1e-9
+    g = DirectedGraph(("v", "w"), (("e", "w", "v"), ("f", "v", "w"), ("l", "v", "v")))
+    pv = np.diag([1.0, 1.0, 1e-9, 1e-9])
+    Z = np.zeros((2, 2))
+    A = np.array([[0.3, 0.1], [0.0, 0.4]])
+    B = np.array([[0.5, 0.0], [0.2, 0.3]])
+    C = np.array([[0.2, -0.1], [0.1, 0.3]])
+    edge_op = {"e": np.block([[Z, A], [Z, Z]]), "f": np.block([[Z, Z], [B, Z]]),
+               "l": np.block([[C, Z], [Z, Z]])}
+    return GraphRep(g, 4, {"v": pv, "w": np.eye(4) - pv}, edge_op)
+
+
+def test_noisy_projections_dilate_past_the_first_step():
+    rep = noisy_projection_rep()
+    assert validate(rep).passed and row_contraction_check(rep).passed
+    eps = DEFAULT_TOL.eps
+    coext = iterate_coextension(rep, 3)
+    assert coext.converged and [s.new_dim for s in coext.steps] == [10, 20, 36, 36]
+    assert all(s.corner_toeplitz <= eps for s in coext.steps)
+    cp = cp_dilate(rep, 3)
+    assert cp.converged and [s.new_dim for s in cp.steps] == [10, 24, 24]
+    ck_row, iso_row, compression = cp.steps
+    assert ck_row.corner_ck <= eps and iso_row.corner_toeplitz <= eps
+    assert max(compression.corner_toeplitz, compression.corner_ck) <= eps
 
 
 # ---------------------------------------------------------------- one_step_ck
@@ -642,6 +684,25 @@ def test_pipeline_output_is_generated_by_the_input(pipeline, rep):
         assert covariance_defect(final) <= DEFAULT_TOL.eps
 
 
+@pytest.mark.parametrize("run", [
+    pytest.param(one_step_isometric, id="isometric-step"),
+    pytest.param(one_step_ck, id="ck-step"),
+    pytest.param(lambda rep: cp_dilate(rep, 2), id="cp"),
+    pytest.param(lambda rep: cp_dilate(rep, 0), id="cp-no-rounds"),
+    pytest.param(lambda rep: iterate_coextension(rep, 2), id="coext"),
+    pytest.param(lambda rep: iterate_coextension(rep, 0), id="coext-no-steps"),
+    pytest.param(lambda rep: iterate_ck(rep, 2), id="ck"),
+    pytest.param(lambda rep: iterate_ck(rep, 0), id="ck-no-steps"),
+])
+def test_dimension_zero_dilates_to_itself(run):
+    out = run(empty_rep())
+    if isinstance(out, DilationStep):
+        assert out.new_dim == 0
+    else:
+        assert out.converged and out.final_rep.dim == 0
+        assert all(s.new_dim == 0 for s in out.steps)
+
+
 # ---------------------------------------------------------------- moment_signature
 
 def test_moment_signature_trivial_words():
@@ -649,6 +710,14 @@ def test_moment_signature_trivial_words():
     table = moment_signature(rep, Subspace.full(2), max_len=0)
     assert table[((), (), 0, 0)] == pytest.approx(1.0)
     assert table[((), (), 0, 1)] == pytest.approx(0.0)
+
+
+def test_moment_signature_key_order_and_empty_seed():
+    rep = two_cycle_isometric()
+    table = moment_signature(rep, Subspace.full(2), max_len=0)
+    assert list(table) == [((), (), a, b) for a in range(2) for b in range(2)]
+    assert all(type(x) is complex for x in table.values())
+    assert moment_signature(rep, Subspace(2, np.zeros((2, 0))), max_len=2) == {}
 
 
 def test_moment_signature_isometric_loop():

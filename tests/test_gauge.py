@@ -84,6 +84,18 @@ def test_verify_action_rejects_non_unitary_bucket():
     assert "unitary" in res.reason
 
 
+def test_verify_action_rejects_overflowing_bucket_as_non_unitary():
+    # U*U - I overflows to a non-finite matrix, whose norm is NaN: the
+    # unitarity check must fail it, not pass it on to the homomorphism check
+    bucket = np.array([[0.0, 1e200], [1.0, 0.0]])
+    bad = GaugeAction(FiniteGroup.cyclic(2), cuntz_graph(2), ({"v": "v"}, {"v": "v"}),
+                      {(1, "v", "v"): bucket})
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = verify_action(bad)
+    assert not res.ok
+    assert res.reason == "bucket matrix (1, 'v', 'v') is not unitary"
+
+
 def test_verify_action_rejects_non_homomorphic_perm():
     g = DirectedGraph(("v", "w"), ())
     group = FiniteGroup.cyclic(3)

@@ -174,6 +174,20 @@ def test_row_contraction_zero_rep():
     assert row_contraction_check(zero_rep(cuntz_graph(2), 2)).passed
 
 
+def empty_rep() -> GraphRep:
+    # dimension 0 over a loop and a second edge: every fiber block is empty
+    g = DirectedGraph(("v", "w"), (("l", "v", "v"), ("e", "w", "v")))
+    Z = np.zeros((0, 0))
+    return GraphRep(g, 0, {"v": Z, "w": Z}, {"l": Z, "e": Z})
+
+
+def test_row_contraction_dimension_zero():
+    # the empty fiber block is the zero operator: margin 0
+    report = row_contraction_check(empty_rep())
+    assert report.passed and report.margin == 0.0
+    assert [c.vertex for c in report.per_vertex] == ["v"]
+
+
 # ---------------------------------------------------------------- defects
 
 def test_toeplitz_defect_examples():
