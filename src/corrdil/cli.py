@@ -182,14 +182,17 @@ def _structure_checks(pf: ProblemFile, tol: Tolerance, report: Report) -> bool:
     return True
 
 
-def _representation_checks(rep: GraphRep, tol: Tolerance, report: Report,
-                           covariance: bool = True) -> None:
-    report.checks.extend(validate(rep, tol).checks)
-    row = row_contraction_check(rep, tol)
-    for vc in row.per_vertex:
-        report.checks.append(
-            CheckLine(f"row-contraction[{vc.vertex}]", vc.margin, tol.eig_clip, vc.passed)
-        )
+def _verdict_checks(rep: GraphRep, tol: Tolerance) -> list:
+    """The check lines that decide whether rep can be dilated: its structure
+    and the row contraction of each range fiber."""
+    checks = list(validate(rep, tol).checks)
+    checks.extend(CheckLine(f"row-contraction[{vc.vertex}]", vc.margin, tol.eig_clip, vc.passed)
+                  for vc in row_contraction_check(rep, tol).per_vertex)
+    return checks
+
+
+def _defect_lines(rep: GraphRep, report: Report, covariance: bool = True) -> None:
+    """The informational defect measurements, which decide nothing."""
     report.checks.append(_info("toeplitz-defect", toeplitz_defect(rep)))
     report.checks.append(_info("ck-defect", ck_defect(rep)))
     if rep.covariant and covariance:
@@ -198,16 +201,7 @@ def _representation_checks(rep: GraphRep, tol: Tolerance, report: Report,
         report.notes.append("covariance-defect not measured: the action failed its checks")
 
 
-def _gating_failures(rep: GraphRep, tol: Tolerance) -> Report | None:
-    """Structural or contraction failures that make dilation ill-posed."""
-    probe = Report(command="")
-    _representation_checks(rep, tol, probe)
-    if all(c.passed for c in probe.checks):
-        return None
-    return probe
-
-
-def _write_out(args, pf: ProblemFile, rep: GraphRep, tol: Tolerance, report: Report) -> None:
+def _write_out(args, rep: GraphRep, tol: Tolerance, report: Report) -> None:
     if getattr(args, "out", None):
         out_pf = ProblemFile(rep.graph, rep.action, rep, tol)
         save_problem(out_pf, args.out)
@@ -224,7 +218,8 @@ def cmd_validate(args) -> Report:
     if pf.representation is None:
         report.notes.append("no representation block: graph/action checks only")
     else:
-        _representation_checks(pf.representation, tol, report, covariance=action_ok)
+        report.checks.extend(_verdict_checks(pf.representation, tol))
+        _defect_lines(pf.representation, report, covariance=action_ok)
     return report
 
 
@@ -245,11 +240,14 @@ def cmd_dilate(args) -> Report:
     rep = pf.representation
     report = Report(command=f"dilate --mode {args.mode} {args.file}")
 
-    gate = _gating_failures(rep, tol)
-    if gate is not None:
-        report.checks = gate.checks
-        report.notes = gate.notes + ["input failed validation; pipeline not run"]
+    verdict = _verdict_checks(rep, tol)
+    if not all(c.passed for c in verdict):
+        report.checks = verdict
+        _defect_lines(rep, report)
+        report.notes.append("input failed validation; pipeline not run")
         return report
+    if rep.covariant:   # a malformed bucket matrix is an input error before any pipeline
+        rep.action.edge_unitaries
     if args.mode in ("ck", "cp"):
         _truncation_note(rep, report)
 
@@ -265,7 +263,7 @@ def cmd_dilate(args) -> Report:
         report.checks.append(_flag("pipeline.converged", pipe.converged))
     report.stages = list(pipe.steps)
     report.capped = pipe.capped
-    _write_out(args, pf, pipe.final_rep, tol, report)
+    _write_out(args, pipe.final_rep, tol, report)
     return report
 
 
@@ -291,7 +289,7 @@ def cmd_induce(args) -> Report:
     report.checks.append(
         CheckLine("induced.identity-corner-deviation", corner_dev, tol.eps, corner_dev <= tol.eps)
     )
-    _write_out(args, pf, ind, tol, report)
+    _write_out(args, ind, tol, report)
     return report
 
 

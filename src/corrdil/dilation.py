@@ -256,8 +256,10 @@ def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
 
     For each finite receiver v the defect proj(v) - sum_e t(e)t(e)* is
     compressed to H_v = range(proj(v)), where it is supported, and factored;
-    the factor's eigenvalues carry the positivity precondition (Hermitian
+    the factor's eigenvalues carry the step's one precondition (Hermitian
     within eps, no eigenvalue below -eig_clip; PositivityError otherwise).
+    It runs no row check, which is decided once where its input enters a
+    pipeline; a fiber ending outside the finite receivers is never read.
     The eigenvectors K_v with eigenvalue w above tol.eig_clip span
     ran(Delta_v), Delta_v = |r^{-1}(v)|^{-1/2} (proj(v) - sum_e
     t(e)t(e)*)^{1/2}.  Each pair (v, w) with a nonempty bucket E(v, w)
@@ -269,7 +271,6 @@ def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
     the step adds nothing a minimal reduction would remove.  A gauge unitary
     acts on the new summands as conj(bucket) tensor K_{gv}* u_g K_v.
     """
-    _require_row_contraction(rep, tol)
     graph = rep.graph
     basis = _vertex_basis(rep)
     K, col = {}, {}
@@ -394,13 +395,13 @@ def iterate_ck(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> Pip
     """n Cuntz-Krieger steps, without a reduction.  Guarantee per stage: the
     Cuntz-Krieger defect compressed to the previous stage's space is
     <= tol.eps; converged says every stage met it and the cap was not hit.
-    Each step checks that its input is a row contraction
-    (ContractivityError otherwise); with no step to run, the check of rep
-    runs here and converged says whether rep itself meets the
-    Cuntz-Krieger relation."""
+    rep must be a row contraction (ContractivityError otherwise), checked
+    once here; the stages the steps build are not checked again.  With no
+    step to run, converged says whether rep itself meets the Cuntz-Krieger
+    relation."""
+    _require_row_contraction(rep, tol)
     steps = [one_step_ck] * int(n_steps)
     if not steps:
-        _require_row_contraction(rep, tol)
         return PipelineReport((), ck_defect(rep) <= tol.eps, rep,
                               np.eye(rep.dim, dtype=complex))
     stages: list[StageRecord] = []
@@ -420,16 +421,15 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
     and the compression row measures it on the pipeline's original space.
     The stopping rule is a finite-stage surrogate for the limit object: each
     round certifies both relations on the corner carried forward from the
-    round before.  Each step checks that its input is a row contraction
-    (ContractivityError otherwise); when no step runs, the check of rep runs
-    here.
+    round before.  rep must be a row contraction (ContractivityError
+    otherwise), checked once here; each round's isometric step still reads
+    its own input's verdict from its own factor.
     """
+    _require_row_contraction(rep, tol)
     d, current, capped = rep.dim, rep, False
     stages: list[StageRecord] = []
     round_steps = (one_step_ck, one_step_isometric)
     done = toeplitz_defect(rep) <= tol.eps and ck_defect(rep) <= tol.eps
-    if done or int(max_rounds) < 1:
-        _require_row_contraction(rep, tol)
     for _ in range(0 if done else int(max_rounds)):
         dilated, capped, corners = _run_steps(current, round_steps, tol, stages, (d, current.dim))
         if capped:

@@ -325,8 +325,8 @@ def orthonormal_closure(ambient_dim: int, seeds, generators, tol: Tolerance = DE
     else:
         added = 0
     fresh = B[:, B.shape[1] - added:]
-    # Fixpoint: only the newly added directions need another generator pass.
-    while fresh.shape[1] and gens:
+    # Fixpoint: only new directions need another generator pass, none once B spans.
+    while fresh.shape[1] and gens and B.shape[1] < ambient_dim:
         candidates = np.column_stack([G @ fresh for G in gens])
         B, added = _append_orthonormal(B, candidates, tol.eig_clip)
         fresh = B[:, B.shape[1] - added:]

@@ -203,9 +203,10 @@ def _ck_residuals(rep: GraphRep):
 
 
 def _toeplitz_residuals(rep: GraphRep):
-    """The Toeplitz residual of every edge pair (e, f), e-major."""
+    """The Toeplitz residual of each edge pair e <= f in edge order, e-major:
+    (f, e) gives the adjoint, with the same norm on every leading block."""
     edges = rep.graph.edges
-    return (_toeplitz_residual(rep, e, f) for e in edges for f in edges)
+    return (_toeplitz_residual(rep, e, f) for i, e in enumerate(edges) for f in edges[i:])
 
 
 def _max_norm(rep: GraphRep, residuals, embed) -> float:

@@ -7,7 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from corrdil import GraphRep, ProblemFile, Tolerance, load_problem, save_problem, trivial_action
+import corrdil.cli
+from corrdil import (
+    GraphRep,
+    ProblemFile,
+    Tolerance,
+    induced_regular_rep,
+    load_problem,
+    save_problem,
+    trivial_action,
+)
 from corrdil.cli import main
 from helpers import cuntz_graph, random_cc_rep, rng_for, z2_loop_swap, zero_rep
 
@@ -205,6 +214,52 @@ def test_dilate_rejects_expansive_rep(tmp_path, capsys):
     assert "pipeline not run" in out
 
 
+def _covariant_file(tmp_path, scale: float) -> str:
+    """A Z2-covariant induced representation of Cuntz-2, its edges scaled."""
+    a = z2_loop_swap()
+    base = random_cc_rep(rng_for(1240), a.graph, dim=2)
+    base = GraphRep(a.graph, 2, base.proj, {e: scale * T for e, T in base.edge_op.items()})
+    rep = induced_regular_rep(base, a)
+    path = tmp_path / f"cov-{scale}.json"
+    save_problem(ProblemFile(rep.graph, a, rep, Tolerance()), path)
+    return str(path)
+
+
+def test_dilate_gate_measures_no_defect_on_a_passing_file(tmp_path, capsys, monkeypatch):
+    path = _covariant_file(tmp_path, 1.0)
+    calls = []
+    for name in ("toeplitz_defect", "ck_defect", "covariance_defect"):
+        monkeypatch.setattr(corrdil.cli, name, lambda *args, name=name: calls.append(name))
+    assert main(["dilate", "--mode", "cp", path]) == 0
+    assert calls == []
+    assert "pipeline.converged" in capsys.readouterr().out
+
+
+def _records(capsys) -> list:
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+@pytest.mark.parametrize("covariant", [False, True], ids=["loop", "covariant"])
+def test_dilate_gate_failure_prints_the_validate_checks(tmp_path, capsys, covariant):
+    if covariant:
+        path = _covariant_file(tmp_path, 3.0)
+    else:
+        g = cuntz_graph(1)
+        rep = GraphRep(g, 1, {"v": np.eye(1)}, {"e0": np.array([[2.0]])})
+        path = str(tmp_path / "exp.json")
+        save_problem(ProblemFile(g, None, rep, Tolerance()), path)
+    assert main(["validate", path, "--format", "records"]) == 1
+    validated = [r for r in _records(capsys) if r["record"] == "check"
+                 and not r["name"].startswith(("graph.", "action."))]
+    assert main(["dilate", "--mode", "cp", path, "--format", "records"]) == 1
+    rows = _records(capsys)
+    assert [r for r in rows if r["record"] == "check"] == validated
+    assert any(r["name"] == "toeplitz-defect" for r in validated)
+    assert (any(r["name"] == "covariance-defect" for r in validated)) is covariant
+    assert rows[-2:] == [{"record": "note", "text": "input failed validation; pipeline not run"},
+                         {"record": "result", "exit_status": 1}]
+
+
 # ---------------------------------------------------------------- induce
 
 def test_induce_trivial_group_identity(tmp_path, capsys):
@@ -342,6 +397,18 @@ def test_wrong_shape_bucket_matrix_exit_2(tmp_path, capsys, argv):
     path = _short_bucket_problem(tmp_path, with_rep=True)
     assert main(argv + [path]) == 2
     assert "bucket matrix (1, 'v', 'v') has shape (1, 1), expected (2, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dilate", "--mode", "ck", "--steps", "0"], ["dilate", "--mode", "cp", "--rounds", "0"],
+], ids=["ck-no-step", "cp-no-round"])
+def test_wrong_shape_bucket_matrix_exit_2_without_a_step(tmp_path, capsys, argv):
+    # no pipeline step reads the action here, so the CLI rejects it first
+    path = _short_bucket_problem(tmp_path, with_rep=True)
+    out_path = tmp_path / "final.json"
+    assert main(argv + [path, "--out", str(out_path)]) == 2
+    assert "bucket matrix (1, 'v', 'v') has shape (1, 1), expected (2, 2)" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_wrong_shape_bucket_matrix_validate_note(tmp_path, capsys):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import corrdil.dilation
+import corrdil.linalg
 from corrdil import (
     DEFAULT_TOL,
     ContractivityError,
@@ -436,6 +438,22 @@ def test_reduce_compression_exact_on_reducing_subspace():
         assert op_norm(lhs - rhs) <= 1e-9
 
 
+def test_reduce_of_the_whole_space_takes_one_orthonormal_pass(monkeypatch):
+    # the closure stops once its basis spans the space: no generator pass
+    calls = []
+    real = corrdil.linalg._append_orthonormal
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(corrdil.linalg, "_append_orthonormal", counted)
+    rep = random_cc_rep(rng_for(1220), cuntz_graph(2), dim=4)
+    red = minimal_reduce(rep, Subspace.full(rep.dim))
+    assert len(calls) == 1
+    assert red.new_dim == 4 and np.array_equal(red.embed, np.eye(4))
+
+
 # ---------------------------------------------------------------- iterate_coextension
 
 def test_coextension_scalar_loop():
@@ -753,3 +771,88 @@ def test_moment_signature_permutation_invariance():
         assert set(t1) == set(t2)
         for key in t1:
             assert abs(t1[key] - t2[key]) <= 1e-8
+
+
+# ---------------------------------------------------------------- one row decision per input
+
+@pytest.fixture()
+def row_checks(monkeypatch):
+    """The representations corrdil.dilation runs row_contraction_check on."""
+    calls = []
+    real = corrdil.dilation.row_contraction_check
+
+    def counted(rep, tol=DEFAULT_TOL):
+        calls.append(rep)
+        return real(rep, tol)
+
+    monkeypatch.setattr(corrdil.dilation, "row_contraction_check", counted)
+    return calls
+
+
+def contractive_rep() -> GraphRep:
+    rng = rng_for(1230)
+    return random_cc_rep(rng, random_graph(rng), dim=3)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: iterate_ck(contractive_rep(), 0),
+    lambda: iterate_ck(contractive_rep(), 3),
+    lambda: cp_dilate(slow_loop(), 4, tol=Tolerance(eig_clip=1e-6)),
+    lambda: cp_dilate(two_cycle_isometric(), 4),
+    lambda: cp_dilate(contractive_rep(), 0),
+], ids=["ck-0", "ck-3", "cp-4-rounds", "cp-converged", "cp-0-rounds"])
+def test_pipelines_check_their_input_once(row_checks, run):
+    report = run()
+    assert len(row_checks) == 1
+    assert row_checks[0].dim == report.embed.shape[1]   # the input, not a stage
+
+
+@pytest.mark.parametrize("run", [
+    lambda: one_step_ck(contractive_rep()),
+    lambda: iterate_coextension(contractive_rep(), 2),
+], ids=["ck-step", "coextension"])
+def test_steps_run_no_row_check(row_checks, run):
+    run()
+    assert row_checks == []
+
+
+def test_iterate_ck_past_noisy_projections():
+    # the second step's input is the first step's output, which the
+    # source-weighted row check used to reject at margin 1e-9
+    report = iterate_ck(noisy_projection_rep(), 3)
+    assert report.converged and not report.capped
+    assert [s.new_dim for s in report.steps] == [10, 20, 36]
+    assert all(s.corner_ck <= DEFAULT_TOL.eps for s in report.steps)
+
+
+def test_ck_step_rejects_an_expansive_loop_by_positivity():
+    # t = 2 on a loop: the step's own defect 1 - 4 is negative; the row
+    # verdict is the pipeline's, at its entry
+    with pytest.raises(PositivityError, match="vertex 'v' is not positive semidefinite"):
+        one_step_ck(loop_rep(2.0))
+    with pytest.raises(ContractivityError,
+                       match=r"row contraction fails at vertices \['v'\]; cannot dilate"):
+        cp_dilate(loop_rep(2.0), 2)
+
+
+def truncated_expansive_rep() -> GraphRep:
+    # e: v -> v with t(e) = diag(2, 0) is expansive, but v is truncated, so
+    # no Cuntz-Krieger condition applies there; f: v -> w is a contraction
+    g = DirectedGraph(("v", "w"), (("e", "v", "v"), ("f", "v", "w")), frozenset({"v"}))
+    return GraphRep(g, 2, {"v": np.diag([1.0, 0.0]), "w": np.diag([0.0, 1.0])},
+                    {"e": np.diag([2.0, 0.0]), "f": np.array([[0.0, 0.0], [0.5, 0.0]])})
+
+
+def test_ck_step_builds_past_an_expansive_fiber_at_a_truncated_vertex():
+    rep = truncated_expansive_rep()
+    assert validate(rep).passed and not row_contraction_check(rep).passed
+    assert one_step_ck(rep).new_dim == 3
+
+
+@pytest.mark.parametrize("run", [
+    lambda rep: iterate_ck(rep, 2),
+    lambda rep: cp_dilate(rep, 2),
+], ids=["iterate_ck", "cp_dilate"])
+def test_pipelines_reject_an_expansive_fiber_at_a_truncated_vertex(run):
+    with pytest.raises(ContractivityError, match=r"row contraction fails at vertices \['v'\]"):
+        run(truncated_expansive_rep())

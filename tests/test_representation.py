@@ -202,6 +202,35 @@ def test_toeplitz_defect_examples():
     assert toeplitz_defect(zero_rep(cuntz_graph(2), 2)) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("arbitrary", [False, True], ids=["contractive", "arbitrary-edges"])
+@pytest.mark.parametrize("seed", range(3))
+def test_toeplitz_defects_are_the_maximum_over_ordered_pairs(seed, arbitrary):
+    # only the pairs e <= f are formed: (f, e) is the adjoint of (e, f), with
+    # the same norm on every leading block, for any edge operators at all
+    rng = rng_for(1210 + seed)
+    vs = ("a", "b", "c")
+    g = DirectedGraph(vs, tuple(
+        (f"e{i}", vs[int(rng.integers(3))], vs[int(rng.integers(3))]) for i in range(6)
+    ))
+    d = 5
+    rep = random_cc_rep(rng, g, dim=d)
+    if arbitrary:
+        rep = GraphRep(g, d, rep.proj, {
+            e.eid: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for e in g.edges
+        })
+    residuals = [
+        rep.edge_op[e.eid].conj().T @ rep.edge_op[f.eid] - (rep.proj[e.src] if e == f else 0)
+        for e in g.edges for f in g.edges
+    ]
+    sizes = [d, 3, 1]
+    corners = _corner_defects(rep, sizes)
+    for k in sizes:
+        want = max(op_norm(R[:k, :k]) for R in residuals)
+        assert corners[k][0] == pytest.approx(want, rel=1e-12)
+    assert toeplitz_defect(rep) == pytest.approx(max(map(op_norm, residuals)), rel=1e-12)
+
+
 def test_ck_defect_examples():
     g = DirectedGraph(("v",), (("l", "v", "v"),))
     iso = GraphRep(g, 2, {"v": np.eye(2)}, {"l": np.array([[0.0, 0.0], [1.0, 0.0]])})
