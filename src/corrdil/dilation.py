@@ -24,8 +24,8 @@ from .linalg import (
     Subspace,
     Tolerance,
     _eigen_factor,
+    _frozen,
     _norm_within,
-    as_cmatrix,
     orthonormal_closure,
 )
 from .representation import (
@@ -62,8 +62,9 @@ class DilationStep:
     is the retained output space inside the input (old_dim x new_dim).
     Either way embed* embed = I on the smaller side, and compressing
     rep_after (resp. the input) by embed recovers the other representation's
-    operators.  The pipelines build no compression step: their "compression"
-    stage rows measure the last step's output on the original space.
+    operators.  embed is kept as a read-only copy.  The pipelines build no
+    compression step: their "compression" stage rows measure the last
+    step's output on the original space.
     """
 
     kind: str
@@ -80,7 +81,7 @@ class DilationStep:
             if self.kind == "compression"
             else (self.new_dim, self.old_dim)
         )
-        E = as_cmatrix(self.embed, rows=shape[0], cols=shape[1])
+        E = _frozen(self.embed, rows=shape[0], cols=shape[1])
         if not _norm_within(E.conj().T @ E - np.eye(E.shape[1]), 1e-6):
             raise ValueError("embed is not an isometry")
         object.__setattr__(self, "embed", E)
@@ -113,14 +114,18 @@ class StageRecord:
 class PipelineReport:
     """Stage table plus the final representation and the isometry locating
     the pipeline's original space inside it: every pipeline keeps that space
-    as the leading coordinates, so embed is np.eye(final_rep.dim, rep.dim).
-    capped marks a run cut short by the dimension cap (partial results)."""
+    as the leading coordinates, so embed is np.eye(final_rep.dim, rep.dim),
+    kept as a read-only copy.  capped marks a run cut short by the
+    dimension cap (partial results)."""
 
     steps: tuple
     converged: bool
     final_rep: GraphRep
     embed: np.ndarray
     capped: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "embed", _frozen(self.embed))
 
 
 def _vertex_basis(rep: GraphRep) -> dict:

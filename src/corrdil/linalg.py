@@ -86,6 +86,14 @@ def as_cmatrix(M, rows: int | None = None, cols: int | None = None) -> np.ndarra
     return A
 
 
+def _frozen(M, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """A read-only complex copy of M, shape-checked as by as_cmatrix; M
+    itself, and its flags, are left as they are."""
+    A = as_cmatrix(np.array(M, dtype=complex), rows, cols)
+    A.setflags(write=False)
+    return A
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of C^ambient_dim presented by orthonormal basis columns."""
@@ -132,17 +140,22 @@ class Subspace:
 
 
 def op_norm(M) -> float:
-    """Largest singular value; an empty matrix has norm 0."""
-    A = as_cmatrix(M)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.norm(A, 2))
+    """Largest singular value; an empty matrix has norm 0.  The one-matrix
+    case of the stacked maximum, so it is read from M's support above
+    _SUPPORT_MIN and equals _max_op_norms([M])[0] bit for bit."""
+    return _stack_max(as_cmatrix(M)[None], 0.0)
 
 
 # Residuals are normed in stacks of at most this many bytes: one batched
 # SVD per stack instead of one call per residual, in memory that stays
 # bounded however many residuals a measurement has.
 _STACK_BYTES = 1 << 20
+
+# A residual whose smaller side exceeds this is normed on its coupled
+# support, and the representation's products are taken on the operators'
+# nonzero extents; on smaller matrices finding the support costs more than
+# the SVD or the gemm it would save.
+_SUPPORT_MIN = 32
 
 
 def _stacks(residuals):
@@ -164,7 +177,7 @@ def _stacks(residuals):
 
 
 def _stack_max(S: np.ndarray, floor: float) -> float:
-    """max(floor, max_i ||S[i]||_2), with an exact SVD only for the
+    """max(floor, max_i ||S[i]||_2), with an exact norm only for the
     candidates: the S[i] whose Frobenius norm (an upper bound) reaches the
     largest column norm (a lower bound) of the stack and floor.
 
@@ -173,7 +186,11 @@ def _stack_max(S: np.ndarray, floor: float) -> float:
     column norm of its own matrix.  Between matrices the two naive sums
     are each within (rows + cols) ulps of exact, which the slack of the
     candidate test covers: no residual whose norm can reach the maximum is
-    dropped, and the value returned is an exact SVD (or floor)."""
+    dropped, and the value returned is an exact norm (or floor).  Above
+    _SUPPORT_MIN, finite candidates are normed on their support
+    (_support_norms), others by the SVD of the whole matrix; either way the
+    value returned depends on the maximizing residual alone, not on the
+    stack it came in."""
     if S.size == 0:
         return floor
     with np.errstate(over="ignore"):   # inf bounds only widen the candidates
@@ -186,9 +203,49 @@ def _stack_max(S: np.ndarray, floor: float) -> float:
     cand = ~(fro2 < best2 * (1.0 - slack))
     if not cand.any():
         return floor
+    C = S[cand]
+    # finite Frobenius norms mean finite entries; with a NaN or inf one (or
+    # an overflowed square, whose residual then is the maximum) the stack
+    # keeps the SVD of each whole candidate
+    if min(S.shape[1:]) > _SUPPORT_MIN and np.isfinite(fro2[cand]).all():
+        norms = _support_norms(C)
+    else:
+        norms = np.linalg.svd(C, compute_uv=False)[:, 0]
     # np.maximum keeps the NaN norm of a residual with an inf entry (an
     # overflowed product), which Python's max would drop
-    return float(np.maximum(floor, np.linalg.svd(S[cand], compute_uv=False)[:, 0].max()))
+    return float(np.maximum(floor, norms.max()))
+
+
+def _support_norms(C: np.ndarray) -> np.ndarray:
+    """||R||_2 for each finite R in the stack C, read from its support.
+
+    An index j < min(rows, cols) is decoupled when row j and column j of R
+    are zero off the diagonal.  Without its exact-zero rows and columns and
+    its decoupled indices, R leaves its coupled block, and R is permutation
+    equivalent to blockdiag(coupled, diag(R_jj over decoupled j), 0).  So
+    ||R|| is the larger of the coupled block's top singular value and the
+    largest decoupled |R_jj|: each an exact SVD or an exact entry.  Blocks
+    of one shape share one batched SVD."""
+    p = min(C.shape[1:])
+    nz = C != 0   # exact zeros; squared sums would underflow
+    rows, cols = nz.sum(axis=2), nz.sum(axis=1)
+    diag = np.arange(p)
+    on = nz[:, diag, diag]
+    decoupled = (rows[:, :p] == on) & (cols[:, :p] == on)
+    keep_rows, keep_cols = rows > 0, cols > 0
+    keep_rows[:, :p] &= ~decoupled
+    keep_cols[:, :p] &= ~decoupled
+    norms = np.where(decoupled, np.abs(C[:, diag, diag]), 0.0).max(axis=1, initial=0.0)
+    blocks = {}   # coupled block shape -> [(stack index, block)]
+    for i, (r, c) in enumerate(zip(keep_rows, keep_cols)):
+        r, c = np.flatnonzero(r), np.flatnonzero(c)
+        if r.size:   # a kept row has its nonzero entries in kept columns
+            blocks.setdefault((r.size, c.size), []).append((i, C[i][np.ix_(r, c)]))
+    for members in blocks.values():
+        at = [i for i, _ in members]
+        top = np.linalg.svd(np.stack([B for _, B in members]), compute_uv=False)[:, 0]
+        norms[at] = np.maximum(norms[at], top)
+    return norms
 
 
 def _norm_within(X: np.ndarray, bound: float) -> bool:

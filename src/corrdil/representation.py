@@ -14,7 +14,15 @@ from .correspondence import CorrElement
 from .exceptions import ConfigurationError, StructureError
 from .gauge import GaugeAction
 from .graph import DirectedGraph, finite_receivers, range_fiber
-from .linalg import DEFAULT_TOL, Tolerance, _max_op_norms, _op_norms, as_cmatrix
+from .linalg import (
+    _SUPPORT_MIN,
+    DEFAULT_TOL,
+    Tolerance,
+    _frozen,
+    _max_op_norms,
+    _op_norms,
+    as_cmatrix,
+)
 
 __all__ = [
     "GraphRep",
@@ -33,7 +41,7 @@ __all__ = [
 
 
 def _finite_matrix(name: str, M, d: int) -> np.ndarray:
-    A = as_cmatrix(M, rows=d, cols=d)
+    A = _frozen(M, rows=d, cols=d)
     if not np.isfinite(A).all():
         raise StructureError(f"{name} has a non-finite entry")
     return A
@@ -44,8 +52,9 @@ class GraphRep:
     """Projections rho(delta_v), edge operators t(delta_e), and (optionally)
     group unitaries u(g), all dim x dim matrices on a common space H.
 
-    Shapes and finite entries are enforced at construction; the numeric
-    requirements (idempotence, orthogonality, module covariance, unitarity,
+    Shapes and finite entries are enforced at construction, which keeps
+    read-only copies of the matrices; the numeric requirements
+    (idempotence, orthogonality, module covariance, unitarity,
     multiplicativity) are measured by :func:`validate`.
     """
 
@@ -187,9 +196,49 @@ class RowContractionReport:
         return max((c.margin for c in self.per_vertex), default=None)
 
 
-def _toeplitz_residual(rep: GraphRep, e, f) -> np.ndarray:
-    """t(e)* t(f) - delta_ef proj(s(e)) for edges e, f."""
-    R = rep.edge_op[e.eid].conj().T @ rep.edge_op[f.eid]
+def _extent(M: np.ndarray) -> tuple:
+    """(1 + the last nonzero row, 1 + the last nonzero column) of M: it is
+    zero outside that leading block.  At or below _SUPPORT_MIN rows or
+    columns it is M's shape, so that small products stay one dense gemm."""
+    if min(M.shape) <= _SUPPORT_MIN:
+        return M.shape
+    nz = M != 0
+    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+    return (int(rows[-1]) + 1 if rows.size else 0, int(cols[-1]) + 1 if cols.size else 0)
+
+
+def _edge_extents(rep: GraphRep) -> dict:
+    return {e.eid: _extent(rep.edge_op[e.eid]) for e in rep.graph.edges}
+
+
+def _extent_bound(extents) -> tuple:
+    """An extent of a sum: the largest row and column extent of its terms."""
+    return tuple(max(x) for x in zip((0, 0), *extents))
+
+
+def _lead_product(A: np.ndarray, a: tuple, B: np.ndarray, b: tuple,
+                  adjoint: bool = False) -> np.ndarray:
+    """A @ B, or A* @ B with adjoint, given a and b, extents of A and B: the
+    product of their leading blocks, zero elsewhere.  The leading blocks
+    hold every nonzero term, so this is A @ B up to the order in which the
+    gemm sums; with full extents it is A @ B itself."""
+    if a == A.shape and b == B.shape:
+        return (A.conj().T if adjoint else A) @ B
+    if adjoint:
+        A, a = A.T, a[::-1]
+    (ra, ca), (rb, cb) = a, b
+    k = min(ca, rb)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=complex)
+    lead = A[:ra, :k]
+    out[:ra, :cb] = (lead.conj() if adjoint else lead) @ B[:k, :cb]
+    return out
+
+
+def _toeplitz_residual(rep: GraphRep, e, f, extents: dict) -> np.ndarray:
+    """t(e)* t(f) - delta_ef proj(s(e)) for edges e, f, the product taken
+    on the edge operators' extents."""
+    R = _lead_product(rep.edge_op[e.eid], extents[e.eid],
+                      rep.edge_op[f.eid], extents[f.eid], adjoint=True)
     return R - rep.proj[e.src] if e.eid == f.eid else R
 
 
@@ -205,8 +254,9 @@ def _ck_residuals(rep: GraphRep):
 def _toeplitz_residuals(rep: GraphRep):
     """The Toeplitz residual of each edge pair e <= f in edge order, e-major:
     (f, e) gives the adjoint, with the same norm on every leading block."""
-    edges = rep.graph.edges
-    return (_toeplitz_residual(rep, e, f) for i, e in enumerate(edges) for f in edges[i:])
+    edges, extents = rep.graph.edges, _edge_extents(rep)
+    return (_toeplitz_residual(rep, e, f, extents)
+            for i, e in enumerate(edges) for f in edges[i:])
 
 
 def _max_norm(rep: GraphRep, residuals, embed) -> float:
@@ -220,12 +270,13 @@ def _max_norm(rep: GraphRep, residuals, embed) -> float:
 def row_contraction_check(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> RowContractionReport:
     """Per vertex with a nonempty fiber, check that the block matrix of the
     Toeplitz residuals over e, f in the fiber has no eigenvalue > eig_clip."""
-    results = []
+    results, extents = [], _edge_extents(rep)
     for v in rep.graph.vertices:
         fiber = [rep.graph.edge(e) for e in range_fiber(rep.graph, v)]
         if not fiber:
             continue
-        block = np.block([[_toeplitz_residual(rep, e, f) for f in fiber] for e in fiber])
+        block = np.block([[_toeplitz_residual(rep, e, f, extents) for f in fiber]
+                          for e in fiber])
         w = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
         margin = float(w.max()) if w.size else 0.0   # an empty block is the zero operator
         results.append(VertexContraction(vertex=v, margin=margin, passed=margin <= tol.eig_clip))
@@ -267,13 +318,21 @@ def covariance_defect(rep: GraphRep) -> float:
     if rep.action is None or rep.unitaries is None:
         raise ConfigurationError("covariance defect needs an action and unitaries")
 
+    edges, verts = rep.graph.edges, rep.graph.vertices
+    ext_t, ext_p = _edge_extents(rep), {v: _extent(rep.proj[v]) for v in verts}
+
     def residuals():
         for g, W in enumerate(rep.action.edge_unitaries):
             U = rep.unitaries[g]
-            for j, e in enumerate(rep.graph.edges):
-                yield U @ rep.edge_op[e.eid] - _edge_sum(rep, W[:, j]) @ U
-            for v in rep.graph.vertices:
-                yield U @ rep.proj[v] - rep.proj[rep.action.perm_vertex(g, v)] @ U
+            ext_u = _extent(U)
+            for j, e in enumerate(edges):
+                moved = _extent_bound(ext_t[f.eid] for f, c in zip(edges, W[:, j]) if c != 0)
+                yield (_lead_product(U, ext_u, rep.edge_op[e.eid], ext_t[e.eid])
+                       - _lead_product(_edge_sum(rep, W[:, j]), moved, U, ext_u))
+            for v in verts:
+                gv = rep.action.perm_vertex(g, v)
+                yield (_lead_product(U, ext_u, rep.proj[v], ext_p[v])
+                       - _lead_product(rep.proj[gv], ext_p[gv], U, ext_u))
 
     return _max_op_norms(residuals())[0]
 

@@ -15,6 +15,7 @@ from corrdil import (
     FiniteGroup,
     GaugeAction,
     GraphRep,
+    PipelineReport,
     PositivityError,
     ResourceCapError,
     Subspace,
@@ -856,3 +857,21 @@ def test_ck_step_builds_past_an_expansive_fiber_at_a_truncated_vertex():
 def test_pipelines_reject_an_expansive_fiber_at_a_truncated_vertex(run):
     with pytest.raises(ContractivityError, match=r"row contraction fails at vertices \['v'\]"):
         run(truncated_expansive_rep())
+
+
+def test_steps_and_reports_keep_read_only_embeds():
+    rep = random_cc_rep(rng_for(1440), cuntz_graph(2), 3)
+    step = one_step_isometric(rep)
+    report = cp_dilate(rep, 2)
+    for stored in (step.embed, report.embed, step.rep_after.edge_op["e0"],
+                   report.final_rep.proj["v"]):
+        with pytest.raises(ValueError):
+            stored[0, 0] = 2.0
+    # an embed handed in is copied, not flipped
+    given = np.eye(step.new_dim, step.old_dim, dtype=complex)
+    made = DilationStep("isometric-step", step.old_dim, step.new_dim, given, step.rep_after)
+    rebuilt = PipelineReport(report.steps, report.converged, report.final_rep, given)
+    assert given.flags.writeable
+    given[0, 0] = 0.0
+    assert made.embed[0, 0] == 1.0 and rebuilt.embed[0, 0] == 1.0
+    assert rebuilt.embed.dtype == complex and not rebuilt.embed.flags.writeable

@@ -355,6 +355,114 @@ def test_op_norms_every_residual_in_order(monkeypatch):
     assert _op_norms([]).shape == (0,)
 
 
+# ---------------------------------------------------------------- norms on the support
+
+def scattered(rng, shape, block, diagonal) -> np.ndarray:
+    """A residual of the given shape that is permutation equivalent to
+    blockdiag(block, diag(diagonal), 0): the diagonal sits on random
+    indices j (row j and column j), the block on random other rows and
+    columns, and every other entry is an exact zero."""
+    n, m = shape
+    R = np.zeros(shape, dtype=complex)
+    on = rng.permutation(min(n, m))[:len(diagonal)]
+    R[on, on] = diagonal
+    rows = rng.permutation(np.setdiff1d(np.arange(n), on))[:block.shape[0]]
+    cols = rng.permutation(np.setdiff1d(np.arange(m), on))[:block.shape[1]]
+    R[np.ix_(rows, cols)] = block
+    return R
+
+
+def random_block(rng, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
+    return scale * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+
+
+def svd_norm(R) -> float:
+    return float(np.linalg.svd(R, compute_uv=False)[0]) if R.size else 0.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_support_norm_of_scattered_residuals(seed):
+    # coupled blocks among exact zeros and decoupled diagonals holding
+    # zeros, ties, a +-I tail and entries that beat the block
+    rng = rng_for(1370 + seed)
+    n = int(rng.integers(linalg._SUPPORT_MIN + 1, 2 * linalg._SUPPORT_MIN))
+    residuals = []
+    for case in range(6):
+        a, b = (int(x) for x in rng.integers(0, n // 3, size=2))
+        block = random_block(rng, a, b, scale=10.0 ** -rng.uniform(0, 3))
+        top = svd_norm(block)
+        diagonal = [
+            rng.standard_normal(int(rng.integers(0, 5))),                 # random
+            np.zeros(3),                                                 # zero diagonals
+            np.full(4, top) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)),  # ties
+            np.concatenate([np.ones(5), -np.ones(5)]),                   # +-I tail
+            np.full(2, 2.0 * top + 1.0),                                 # the diagonal wins
+            np.zeros(0),                                                 # no diagonal
+        ][case]
+        residuals.append(scattered(rng, (n, n), block, diagonal))
+    for R in residuals:
+        assert _max_op_norms([R])[0] == pytest.approx(svd_norm(R), rel=1e-12, abs=0.0)
+        assert op_norm(R) == _max_op_norms([R])[0]
+    assert_max_norms_match(residuals, (None, n // 2, n - 1))
+    # the value is the maximizer's own, whatever else its stack holds
+    worst = max(residuals, key=svd_norm)
+    others = [0.5 * R for R in residuals]
+    assert _max_op_norms(others + [worst] + others)[0] == op_norm(worst)
+
+
+def test_support_norm_of_degenerate_supports():
+    rng = rng_for(1380)
+    n = linalg._SUPPORT_MIN + 7
+    zero = np.zeros((n, n), dtype=complex)
+    assert op_norm(zero) == 0.0 and _max_op_norms([zero, zero]) == [0.0]
+    diagonal = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    assert op_norm(diagonal) == np.abs(np.diag(diagonal)).max()
+    # a coupled block holding every row and column, one of one entry, and a
+    # lone off-diagonal entry (row j and column j then both coupled)
+    full = random_block(rng, n, n)
+    assert op_norm(full) == pytest.approx(svd_norm(full), rel=1e-12)
+    lone = zero.copy()
+    lone[3, 7], lone[7, 7] = 2.0 - 1.0j, 0.5
+    assert op_norm(lone) == pytest.approx(svd_norm(lone), rel=1e-12)
+    single = scattered(rng, (n, n), np.array([[3.0j]]), np.ones(6))
+    assert op_norm(single) == 3.0
+
+
+@pytest.mark.parametrize("shape", [(40, 70), (70, 40), (33, 90)])
+def test_support_norm_decides_rectangular_bounds(shape):
+    rng = rng_for(1390 + shape[0])
+    for case in range(4):
+        block = random_block(rng, int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+        diagonal = [np.zeros(0), np.ones(8), 3.0 * np.ones(2), -np.ones(5)][case]
+        X = scattered(rng, shape, block, diagonal)
+        s = svd_norm(X)
+        assert linalg._norm_within(X, s * (1 + 1e-12))
+        assert not linalg._norm_within(X, s * (1 - 1e-12))
+        assert op_norm(X) == pytest.approx(s, rel=1e-12)
+
+
+def test_support_norm_keeps_the_non_finite_verdicts():
+    # above _SUPPORT_MIN a NaN still raises, an inf entry still gives NaN,
+    # and a finite entry whose square overflows is still normed exactly
+    rng = rng_for(1395)
+    n = linalg._SUPPORT_MIN + 8
+    R = scattered(rng, (n, n), random_block(rng, 10, 10), np.ones(6))
+    nan, inf, huge = R.copy(), R.copy(), R.copy()
+    nan[2, 5] = np.nan
+    inf[3, 4] = np.inf
+    huge[0, 0] = 1e200
+    for residuals in ([nan], [R, nan], [nan, R]):
+        with pytest.raises(np.linalg.LinAlgError):
+            _max_op_norms(residuals)
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norm(nan)
+    for residuals in ([inf], [R, inf], [inf, R]):
+        assert all(np.isnan(_max_op_norms(residuals, (None, n // 2))))
+    assert np.isnan(op_norm(inf))
+    assert op_norm(huge) == pytest.approx(svd_norm(huge), rel=1e-12)
+    assert _max_op_norms([R, huge]) == [op_norm(huge)]
+
+
 # ---------------------------------------------------------------- Tolerance & shapes
 
 def test_tolerance_dimension_cap():

@@ -21,14 +21,15 @@ from corrdil import (
     covariance_defect,
     delta_edge,
     induced_regular_rep,
+    one_step_isometric,
     op_norm,
     row_contraction_check,
     toeplitz_defect,
     trivial_action,
     validate,
 )
-from corrdil.linalg import _STACK_BYTES
-from corrdil.representation import _corner_defects
+from corrdil.linalg import _STACK_BYTES, _SUPPORT_MIN
+from corrdil.representation import _corner_defects, _extent, _extent_bound, _lead_product
 from helpers import (
     cuntz_graph,
     cycle_graph,
@@ -302,6 +303,92 @@ def test_stacked_norms_stay_within_the_byte_budget(measure):
     all_pairs = 36 * rep.dim ** 2 * 16
     assert all_pairs > 12 * _STACK_BYTES
     assert traced_peak(lambda: measure(rep)) < 4 * _STACK_BYTES
+
+
+# ---------------------------------------------------------------- products on leading extents
+
+def leading(rng, n: int, rows: int, cols: int) -> np.ndarray:
+    """A complex n x n matrix that is random on its leading rows x cols
+    block, nonzero in its last row and column there, and zero elsewhere."""
+    M = np.zeros((n, n), dtype=complex)
+    M[:rows, :cols] = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if rows and cols:
+        M[rows - 1, 0] = M[0, cols - 1] = 1.0
+    return M
+
+
+def test_extent_is_the_last_nonzero_row_and_column():
+    rng = rng_for(1410)
+    n = _SUPPORT_MIN + 9
+    for rows, cols in [(n, n), (n, 5), (7, n), (1, 1), (0, 0), (12, 30)]:
+        assert _extent(leading(rng, n, rows, cols)) == (rows, cols)
+    lone = np.zeros((n, n), dtype=complex)
+    lone[4, 2] = 1e-300
+    assert _extent(lone) == (5, 3)
+    small = np.zeros((_SUPPORT_MIN, _SUPPORT_MIN), dtype=complex)   # no search at or below
+    assert _extent(small) == small.shape
+    assert _extent_bound([(3, 9), (8, 2), (5, 5)]) == (8, 9)
+    assert _extent_bound([]) == (0, 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lead_product_is_the_product(seed):
+    rng = rng_for(1420 + seed)
+    n = int(rng.integers(_SUPPORT_MIN + 1, 3 * _SUPPORT_MIN))
+    for _ in range(6):
+        A = leading(rng, n, *(int(x) for x in rng.integers(0, n + 1, size=2)))
+        B = leading(rng, n, *(int(x) for x in rng.integers(0, n + 1, size=2)))
+        for adjoint, want in ((False, A @ B), (True, A.conj().T @ B)):
+            got = _lead_product(A, _extent(A), B, _extent(B), adjoint=adjoint)
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+            rows = _extent(A)[1] if adjoint else _extent(A)[0]
+            assert not got[rows:].any() and not got[:, _extent(B)[1]:].any()
+        # a looser extent (the bound for a sum) gives the same product
+        loose = _lead_product(A, (n, n), B, _extent(B))
+        assert np.abs(loose - A @ B).max() <= 1e-13 * max(1.0, np.abs(A @ B).max())
+    # full extents are the dense product itself
+    A, B = leading(rng, n, n, n), leading(rng, n, n, n)
+    assert np.array_equal(_lead_product(A, (n, n), B, (n, n)), A @ B)
+    assert np.array_equal(_lead_product(A, (n, n), B, (n, n), adjoint=True), A.conj().T @ B)
+
+
+def test_defects_above_the_support_threshold_match_dense_products():
+    # a covariant stage past _SUPPORT_MIN: the Toeplitz and covariance
+    # defects taken on extents equal the dense residuals' norms
+    a = z2_loop_swap(mixer=True)
+    rep = induced_regular_rep(random_cc_rep(rng_for(1430), a.graph, 20), a)
+    step = one_step_isometric(rep)
+    out = step.rep_after
+    assert out.dim > _SUPPORT_MIN and _extent(out.edge_op["e0"])[1] == rep.dim
+    T, P, U = out.edge_op, out.proj["v"], out.unitaries
+    toeplitz = max(op_norm(T[e].conj().T @ T[f] - (P if e == f else 0)) for e in T for f in T)
+    assert toeplitz_defect(out) == pytest.approx(toeplitz, rel=1e-12, abs=1e-15)
+    W = a.edge_unitaries
+    covariance = max(
+        max(op_norm(U[g] @ T[e] - sum(W[g][k, j] * T[f] for k, f in enumerate(T)) @ U[g])
+            for j, e in enumerate(T))
+        for g in range(2))
+    covariance = max(covariance, max(op_norm(U[g] @ P - P @ U[g]) for g in range(2)))
+    assert covariance_defect(out) == pytest.approx(covariance, rel=1e-9, abs=1e-14)
+
+
+# ---------------------------------------------------------------- stored data is read-only
+
+def test_rep_keeps_read_only_copies():
+    a = z2_loop_swap()
+    proj = {"v": np.eye(2, dtype=complex)}
+    edge_op = {"e0": 0.5 * np.eye(2, dtype=complex), "e1": np.zeros((2, 2))}
+    unitaries = {0: np.eye(2, dtype=complex), 1: np.array([[0, 1], [1, 0]], dtype=complex)}
+    rep = GraphRep(a.graph, 2, proj, edge_op, action=a, unitaries=unitaries)
+    for stored in (rep.proj["v"], rep.edge_op["e0"], rep.edge_op["e1"], rep.unitaries[1]):
+        with pytest.raises(ValueError):
+            stored[0, 0] = 3.0
+    # the caller's arrays stay writable, and writing them leaves rep alone
+    for given in (proj["v"], edge_op["e0"], edge_op["e1"], unitaries[1]):
+        assert given.flags.writeable
+        given[0, 0] = 7.0
+    assert rep.proj["v"][0, 0] == 1.0 and rep.edge_op["e0"][0, 0] == 0.5
+    assert rep.edge_op["e1"][0, 0] == 0.0 and rep.unitaries[1][0, 0] == 0.0
 
 
 # ---------------------------------------------------------------- induced rep
