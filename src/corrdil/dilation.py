@@ -26,6 +26,7 @@ from .linalg import (
     _eigen_factor,
     _frozen,
     _norm_within,
+    _readonly,
     orthonormal_closure,
 )
 from .representation import (
@@ -62,9 +63,9 @@ class DilationStep:
     is the retained output space inside the input (old_dim x new_dim).
     Either way embed* embed = I on the smaller side, and compressing
     rep_after (resp. the input) by embed recovers the other representation's
-    operators.  embed is kept as a read-only copy.  The pipelines build no
-    compression step: their "compression" stage rows measure the last
-    step's output on the original space.
+    operators.  embed is kept read-only, as GraphRep keeps its matrices.
+    The pipelines build no compression step: their "compression" stage rows
+    measure the last step's output on the original space.
     """
 
     kind: str
@@ -76,12 +77,8 @@ class DilationStep:
     def __post_init__(self):
         if self.kind not in ("isometric-step", "ck-step", "compression"):
             raise ValueError(f"unknown step kind {self.kind!r}")
-        shape = (
-            (self.old_dim, self.new_dim)
-            if self.kind == "compression"
-            else (self.new_dim, self.old_dim)
-        )
-        E = _frozen(self.embed, rows=shape[0], cols=shape[1])
+        shape = (self.new_dim, self.old_dim)
+        E = _frozen(self.embed, *(shape[::-1] if self.kind == "compression" else shape))
         if not _norm_within(E.conj().T @ E - np.eye(E.shape[1]), 1e-6):
             raise ValueError("embed is not an isometry")
         object.__setattr__(self, "embed", E)
@@ -115,8 +112,8 @@ class PipelineReport:
     """Stage table plus the final representation and the isometry locating
     the pipeline's original space inside it: every pipeline keeps that space
     as the leading coordinates, so embed is np.eye(final_rep.dim, rep.dim),
-    kept as a read-only copy.  capped marks a run cut short by the
-    dimension cap (partial results)."""
+    kept read-only, as GraphRep keeps its matrices.  capped marks a run cut
+    short by the dimension cap (partial results)."""
 
     steps: tuple
     converged: bool
@@ -175,7 +172,7 @@ def _extend(rep: GraphRep, kind: str, summands: dict, edge_blocks: dict,
         M[:d, :d] = corner
         for row, col, block in blocks:
             M[at[row], at[col]] = block
-        return M
+        return _readonly(M)
 
     proj = {
         u: padded(rep.proj[u], [(k, k, np.eye(n)) for k, (x, n) in summands.items() if x == u])
@@ -188,7 +185,7 @@ def _extend(rep: GraphRep, kind: str, summands: dict, edge_blocks: dict,
         g: padded(rep.unitaries[g], blocks) for g, blocks in unitary_blocks.items()
     }
     rep_after = GraphRep(rep.graph, pos, proj, edge_op, action=rep.action, unitaries=unitaries)
-    return DilationStep(kind, d, pos, np.eye(pos, d), rep_after)
+    return DilationStep(kind, d, pos, _readonly(np.eye(pos, d, dtype=complex)), rep_after)
 
 
 def one_step_isometric(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
@@ -332,12 +329,12 @@ def minimal_reduce(rep: GraphRep, seed: Subspace, tol: Tolerance = DEFAULT_TOL) 
         for U in rep.unitaries.values():
             gens.extend([U, U.conj().T])
     space = orthonormal_closure(rep.dim, list(seed.basis.T), gens, tol)
-    B = space.basis
-    proj = {v: B.conj().T @ rep.proj[v] @ B for v in rep.graph.vertices}
-    edge_op = {e.eid: B.conj().T @ rep.edge_op[e.eid] @ B for e in rep.graph.edges}
+    B = _readonly(space.basis)
+    proj = {v: _readonly(B.conj().T @ rep.proj[v] @ B) for v in rep.graph.vertices}
+    edge_op = {e.eid: _readonly(B.conj().T @ rep.edge_op[e.eid] @ B) for e in rep.graph.edges}
     unitaries = None
     if rep.unitaries is not None:
-        unitaries = {g: B.conj().T @ U @ B for g, U in rep.unitaries.items()}
+        unitaries = {g: _readonly(B.conj().T @ U @ B) for g, U in rep.unitaries.items()}
     rep_after = GraphRep(rep.graph, space.dim, proj, edge_op,
                          action=rep.action, unitaries=unitaries)
     return DilationStep("compression", rep.dim, space.dim, B, rep_after)
@@ -393,7 +390,7 @@ def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TO
         stages.append(replace(stages[-1], kind="compression", corner_toeplitz=t, corner_ck=c))
     converged = not capped and all(s.corner_toeplitz <= tol.eps for s in stages)
     return PipelineReport(tuple(stages), converged, final,
-                          np.eye(final.dim, rep.dim, dtype=complex), capped)
+                          _readonly(np.eye(final.dim, rep.dim, dtype=complex)), capped)
 
 
 def iterate_ck(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
@@ -408,12 +405,12 @@ def iterate_ck(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> Pip
     steps = [one_step_ck] * int(n_steps)
     if not steps:
         return PipelineReport((), ck_defect(rep) <= tol.eps, rep,
-                              np.eye(rep.dim, dtype=complex))
+                              _readonly(np.eye(rep.dim, dtype=complex)))
     stages: list[StageRecord] = []
     final, capped, _ = _run_steps(rep, steps, tol, stages)
     converged = not capped and all(s.corner_ck <= tol.eps for s in stages)
     return PipelineReport(tuple(stages), converged, final,
-                          np.eye(final.dim, rep.dim, dtype=complex), capped)
+                          _readonly(np.eye(final.dim, rep.dim, dtype=complex)), capped)
 
 
 def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
@@ -445,8 +442,8 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
         stages.append(replace(stages[-1], kind="compression", corner_toeplitz=t, corner_ck=c))
         if done:
             break
-    return PipelineReport(tuple(stages), done, current, np.eye(current.dim, d, dtype=complex),
-                          capped)
+    return PipelineReport(tuple(stages), done, current,
+                          _readonly(np.eye(current.dim, d, dtype=complex)), capped)
 
 
 def moment_signature(rep: GraphRep, seed: Subspace, max_len: int) -> dict:

@@ -15,7 +15,7 @@ import numpy as np
 from .correspondence import CoeffElement, CorrElement
 from .exceptions import GraphLookupError, StructureError
 from .graph import DirectedGraph, edge_bucket
-from .linalg import DEFAULT_TOL, Tolerance, _norm_within, as_cmatrix
+from .linalg import DEFAULT_TOL, Tolerance, _norm_within, _readonly, as_cmatrix
 
 __all__ = [
     "CheckResult",
@@ -197,8 +197,7 @@ class GaugeAction:
                         f" expected {(len(target), len(bucket))}"
                     )
                 W[np.ix_([index[f] for f in target], [index[e] for e in bucket])] = U
-            W.flags.writeable = False
-            out.append(W)
+            out.append(_readonly(W))
         return tuple(out)
 
     def perm_vertex(self, g: int, v: str) -> str:

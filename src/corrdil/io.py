@@ -111,9 +111,6 @@ def _emit(obj, indent: int) -> tuple:
         ]
         return "{\n" + ",\n".join(lines) + "\n" + pad + "}", 3
     if isinstance(obj, list):
-        if obj and all(type(x) is float for x in obj):
-            # the [re, im] pair of a matrix entry; see _fmt_scalar for the + 0.0
-            return "[" + ", ".join([format(x + 0.0, ".17g") for x in obj]) + "]", 1
         if _is_pair_row(obj):
             # a matrix row: the same text as one pair at a time, in one join
             pairs = [f"[{re + 0.0:.17g}, {im + 0.0:.17g}]" for re, im in obj]

@@ -87,9 +87,17 @@ def as_cmatrix(M, rows: int | None = None, cols: int | None = None) -> np.ndarra
 
 
 def _frozen(M, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """A read-only complex copy of M, shape-checked as by as_cmatrix; M
-    itself, and its flags, are left as they are."""
-    A = as_cmatrix(np.array(M, dtype=complex), rows, cols)
+    """M as a read-only complex matrix, shape-checked as by as_cmatrix: M
+    itself if it is read-only, complex128 and owns its memory, else a copy
+    (of a caller's writable array, or of any view), M left as it is."""
+    if not (isinstance(M, np.ndarray) and M.dtype == complex and M.base is None
+            and not M.flags.writeable):
+        M = _readonly(np.array(M, dtype=complex))
+    return as_cmatrix(M, rows, cols)
+
+
+def _readonly(A: np.ndarray) -> np.ndarray:
+    """A itself, made read-only: an array its caller just made, kept by _frozen as is."""
     A.setflags(write=False)
     return A
 
@@ -122,28 +130,19 @@ class Subspace:
     @staticmethod
     def coordinate(ambient_dim: int, indices) -> "Subspace":
         """Span of the listed standard basis vectors."""
-        B = np.zeros((ambient_dim, len(indices)), dtype=complex)
-        for k, i in enumerate(indices):
-            B[i, k] = 1.0
-        return Subspace(ambient_dim, B)
+        return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex)[:, list(indices)])
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
-        """Orthonormalize arbitrary spanning vectors into a Subspace."""
-        W = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors]) \
-            if len(vectors) else np.zeros((ambient_dim, 0), dtype=complex)
-        if W.shape[0] != ambient_dim:
-            raise DimensionError("seed vectors do not match the ambient dimension")
-        B = np.zeros((ambient_dim, 0), dtype=complex)
-        B, _ = _append_orthonormal(B, W, tol.eig_clip)
-        return Subspace(ambient_dim, B)
+        """Orthonormalize spanning vectors: their closure under no generators."""
+        return orthonormal_closure(ambient_dim, vectors, (), tol)
 
 
 def op_norm(M) -> float:
     """Largest singular value; an empty matrix has norm 0.  The one-matrix
-    case of the stacked maximum, so it is read from M's support above
-    _SUPPORT_MIN and equals _max_op_norms([M])[0] bit for bit."""
-    return _stack_max(as_cmatrix(M)[None], 0.0)
+    case of _exact_norms, so it equals _op_norms([M])[0] and
+    _max_op_norms([M])[0] bit for bit."""
+    return float(_exact_norms(as_cmatrix(M)[None])[0])
 
 
 # Residuals are normed in stacks of at most this many bytes: one batched
@@ -152,9 +151,9 @@ def op_norm(M) -> float:
 _STACK_BYTES = 1 << 20
 
 # A residual whose smaller side exceeds this is normed on its coupled
-# support, and the representation's products are taken on the operators'
-# nonzero extents; on smaller matrices finding the support costs more than
-# the SVD or the gemm it would save.
+# support (_support_norms), and _lead_product multiplies operators on their
+# nonzero extents (_extent); on smaller matrices finding the support costs
+# more than the SVD or the gemm it would save.
 _SUPPORT_MIN = 32
 
 
@@ -177,20 +176,16 @@ def _stacks(residuals):
 
 
 def _stack_max(S: np.ndarray, floor: float) -> float:
-    """max(floor, max_i ||S[i]||_2), with an exact norm only for the
-    candidates: the S[i] whose Frobenius norm (an upper bound) reaches the
-    largest column norm (a lower bound) of the stack and floor.
+    """max(floor, max_i ||S[i]||_2), with an exact norm (_exact_norms) only
+    for the candidates: the S[i] whose Frobenius norm (an upper bound)
+    reaches the largest column norm (a lower bound) of the stack and floor.
 
     Both bounds are sums of the same squared entries; the Frobenius one
     sums the computed column sums, so rounding keeps it at or above every
     column norm of its own matrix.  Between matrices the two naive sums
     are each within (rows + cols) ulps of exact, which the slack of the
     candidate test covers: no residual whose norm can reach the maximum is
-    dropped, and the value returned is an exact norm (or floor).  Above
-    _SUPPORT_MIN, finite candidates are normed on their support
-    (_support_norms), others by the SVD of the whole matrix; either way the
-    value returned depends on the maximizing residual alone, not on the
-    stack it came in."""
+    dropped, and the value returned is an exact norm (or floor)."""
     if S.size == 0:
         return floor
     with np.errstate(over="ignore"):   # inf bounds only widen the candidates
@@ -203,17 +198,27 @@ def _stack_max(S: np.ndarray, floor: float) -> float:
     cand = ~(fro2 < best2 * (1.0 - slack))
     if not cand.any():
         return floor
-    C = S[cand]
-    # finite Frobenius norms mean finite entries; with a NaN or inf one (or
-    # an overflowed square, whose residual then is the maximum) the stack
-    # keeps the SVD of each whole candidate
-    if min(S.shape[1:]) > _SUPPORT_MIN and np.isfinite(fro2[cand]).all():
-        norms = _support_norms(C)
-    else:
-        norms = np.linalg.svd(C, compute_uv=False)[:, 0]
+    norms = _exact_norms(S[cand], fro2[cand])
     # np.maximum keeps the NaN norm of a residual with an inf entry (an
     # overflowed product), which Python's max would drop
     return float(np.maximum(floor, norms.max()))
+
+
+def _exact_norms(C: np.ndarray, fro2=None) -> np.ndarray:
+    """||C[i]||_2 for each matrix in the stack C, the one body that takes an
+    operator norm: on its support (_support_norms) for a stack above
+    _SUPPORT_MIN whose squared Frobenius norms fro2 (computed unless given)
+    are finite, else by the SVD of each whole matrix; zeros for an empty
+    stack.  Each value depends on its own matrix alone."""
+    if C.size == 0:
+        return np.zeros(len(C))
+    if min(C.shape[1:]) > _SUPPORT_MIN:
+        if fro2 is None:
+            with np.errstate(over="ignore"):   # summed as _stack_max sums
+                fro2 = (C.real ** 2 + C.imag ** 2).sum(axis=1).sum(axis=1)
+        if np.isfinite(fro2).all():   # finite Frobenius norms mean finite entries
+            return _support_norms(C)
+    return np.linalg.svd(C, compute_uv=False)[:, 0]
 
 
 def _support_norms(C: np.ndarray) -> np.ndarray:
@@ -248,6 +253,40 @@ def _support_norms(C: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _extent(M: np.ndarray) -> tuple:
+    """(1 + the last nonzero row, 1 + the last nonzero column) of M: it is
+    zero outside that leading block.  At or below _SUPPORT_MIN rows or
+    columns it is M's shape, so that small products stay one dense gemm."""
+    if min(M.shape) <= _SUPPORT_MIN:
+        return M.shape
+    nz = M != 0
+    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+    return (int(rows[-1]) + 1 if rows.size else 0, int(cols[-1]) + 1 if cols.size else 0)
+
+
+def _extent_bound(extents) -> tuple:
+    """An extent of a sum: the largest row and column extent of its terms."""
+    return tuple(max(x) for x in zip((0, 0), *extents))
+
+
+def _lead_product(A: np.ndarray, a: tuple, B: np.ndarray, b: tuple,
+                  adjoint: bool = False) -> np.ndarray:
+    """A @ B, or A* @ B with adjoint, given a and b, extents of A and B: the
+    product of their leading blocks, zero elsewhere.  The leading blocks
+    hold every nonzero term, so this is A @ B up to the order in which the
+    gemm sums; with full extents it is A @ B itself."""
+    if a == A.shape and b == B.shape:
+        return (A.conj().T if adjoint else A) @ B
+    if adjoint:
+        A, a = A.T, a[::-1]
+    (ra, ca), (rb, cb) = a, b
+    k = min(ca, rb)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=complex)
+    lead = A[:ra, :k]
+    out[:ra, :cb] = (lead.conj() if adjoint else lead) @ B[:k, :cb]
+    return out
+
+
 def _norm_within(X: np.ndarray, bound: float) -> bool:
     """||X||_2 <= bound, False for a NaN norm.  With bound as the floor of
     _stack_max, the SVD runs only when the Frobenius norm does not settle it."""
@@ -258,7 +297,7 @@ def _max_op_norms(residuals, sizes=(None,)) -> list:
     """[max_i ||R_i[:k, :k]||_2 for k in sizes], k = None standing for all
     of R_i and 0 for no residual or an empty block, from one pass over the
     residuals in _STACK_BYTES stacks.  This is the one place that takes a
-    maximum of operator norms; each value is an exact SVD of a maximizing
+    maximum of operator norms; each value is an exact norm of a maximizing
     residual, pruned by the certified bounds of _stack_max."""
     worst = [0.0] * len(sizes)
     for S in _stacks(residuals):
@@ -267,9 +306,10 @@ def _max_op_norms(residuals, sizes=(None,)) -> list:
 
 
 def _op_norms(residuals) -> np.ndarray:
-    """||R_i||_2 for every residual, in order, one batched SVD per stack."""
-    norms = [np.linalg.norm(S, 2, axis=(1, 2)) if S.size else np.zeros(len(S))
-             for S in _stacks(residuals)]
+    """||R_i||_2 for every residual, in order and unpruned: _exact_norms of
+    each _STACK_BYTES stack, so each value is op_norm(R_i) bit for bit when
+    its stack is finite."""
+    norms = [_exact_norms(S) for S in _stacks(residuals)]
     return np.concatenate(norms) if norms else np.zeros(0)
 
 
@@ -377,10 +417,7 @@ def orthonormal_closure(ambient_dim: int, seeds, generators, tol: Tolerance = DE
         if v.shape[0] != ambient_dim:
             raise DimensionError("seed vector does not match the ambient dimension")
     B = np.zeros((ambient_dim, 0), dtype=complex)
-    if seed_list:
-        B, added = _append_orthonormal(B, np.column_stack(seed_list), tol.eig_clip)
-    else:
-        added = 0
+    B, added = _append_orthonormal(B, np.column_stack(seed_list) if seed_list else B, tol.eig_clip)
     fresh = B[:, B.shape[1] - added:]
     # Fixpoint: only new directions need another generator pass, none once B spans.
     while fresh.shape[1] and gens and B.shape[1] < ambient_dim:

@@ -15,12 +15,15 @@ from .exceptions import ConfigurationError, StructureError
 from .gauge import GaugeAction
 from .graph import DirectedGraph, finite_receivers, range_fiber
 from .linalg import (
-    _SUPPORT_MIN,
     DEFAULT_TOL,
     Tolerance,
+    _extent,
+    _extent_bound,
     _frozen,
+    _lead_product,
     _max_op_norms,
     _op_norms,
+    _readonly,
     as_cmatrix,
 )
 
@@ -53,7 +56,7 @@ class GraphRep:
     group unitaries u(g), all dim x dim matrices on a common space H.
 
     Shapes and finite entries are enforced at construction, which keeps
-    read-only copies of the matrices; the numeric requirements
+    the matrices read-only (linalg._frozen); the numeric requirements
     (idempotence, orthogonality, module covariance, unitarity,
     multiplicativity) are measured by :func:`validate`.
     """
@@ -196,42 +199,8 @@ class RowContractionReport:
         return max((c.margin for c in self.per_vertex), default=None)
 
 
-def _extent(M: np.ndarray) -> tuple:
-    """(1 + the last nonzero row, 1 + the last nonzero column) of M: it is
-    zero outside that leading block.  At or below _SUPPORT_MIN rows or
-    columns it is M's shape, so that small products stay one dense gemm."""
-    if min(M.shape) <= _SUPPORT_MIN:
-        return M.shape
-    nz = M != 0
-    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
-    return (int(rows[-1]) + 1 if rows.size else 0, int(cols[-1]) + 1 if cols.size else 0)
-
-
 def _edge_extents(rep: GraphRep) -> dict:
     return {e.eid: _extent(rep.edge_op[e.eid]) for e in rep.graph.edges}
-
-
-def _extent_bound(extents) -> tuple:
-    """An extent of a sum: the largest row and column extent of its terms."""
-    return tuple(max(x) for x in zip((0, 0), *extents))
-
-
-def _lead_product(A: np.ndarray, a: tuple, B: np.ndarray, b: tuple,
-                  adjoint: bool = False) -> np.ndarray:
-    """A @ B, or A* @ B with adjoint, given a and b, extents of A and B: the
-    product of their leading blocks, zero elsewhere.  The leading blocks
-    hold every nonzero term, so this is A @ B up to the order in which the
-    gemm sums; with full extents it is A @ B itself."""
-    if a == A.shape and b == B.shape:
-        return (A.conj().T if adjoint else A) @ B
-    if adjoint:
-        A, a = A.T, a[::-1]
-    (ra, ca), (rb, cb) = a, b
-    k = min(ca, rb)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=complex)
-    lead = A[:ra, :k]
-    out[:ra, :cb] = (lead.conj() if adjoint else lead) @ B[:k, :cb]
-    return out
 
 
 def _toeplitz_residual(rep: GraphRep, e, f, extents: dict) -> np.ndarray:
@@ -356,7 +325,7 @@ def induced_regular_rep(rep: GraphRep, a: GaugeAction) -> GraphRep:
         out = np.zeros((dim, dim), dtype=complex)
         for g, blk in enumerate(blocks):
             out[g * d:(g + 1) * d, g * d:(g + 1) * d] = blk
-        return out
+        return _readonly(out)
 
     proj = {}
     for v in rep.graph.vertices:
@@ -373,6 +342,6 @@ def induced_regular_rep(rep: GraphRep, a: GaugeAction) -> GraphRep:
         for h in range(n):
             g = a.group.mul(s, h)   # block h is sent to block s*h
             U[g * d:(g + 1) * d, h * d:(h + 1) * d] = np.eye(d)
-        unitaries[s] = U
+        unitaries[s] = _readonly(U)
     return GraphRep(rep.graph, dim, proj, edge_op, action=a, unitaries=unitaries)
 

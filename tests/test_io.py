@@ -239,6 +239,37 @@ def test_canonical_matrix_layout():
     assert text.splitlines()[1].strip() == "[[1, 0], [0.5, 0]],"
 
 
+def test_canonical_float_list_and_int_pairs():
+    # a list of floats is one line of .17g scalars, -0.0 written as 0
+    assert canonical_text([-0.0, 0.1, 1e300]) == "[0, 0.10000000000000001, 1.0000000000000001e+300]\n"
+    # pairs that hold ints, alone or beside floats, are written as parsed
+    text = "\n".join([
+        '{',
+        '  "graph": {',
+        '    "edges": [["l", "v", "v"]],',
+        '    "vertices": ["v"]',
+        '  },',
+        '  "representation": {',
+        '    "dim": 2,',
+        '    "edge_op": {',
+        '      "l": [',
+        '        [[0, 1], [-1, 0]],',
+        '        [[0.5, 0], [0, 0]]',
+        '      ]',
+        '    },',
+        '    "proj": {',
+        '      "v": [',
+        '        [[1, 0], [0, 0]],',
+        '        [[0, 0], [1, 0]]',
+        '      ]',
+        '    }',
+        '  }',
+        '}',
+        '',
+    ])
+    assert canonical_text(json.loads(text)) == text
+
+
 # ---------------------------------------------------------------- pinned bytes
 
 def canonical_sample_problem() -> ProblemFile:

@@ -21,6 +21,7 @@ from corrdil import (
     covariance_defect,
     delta_edge,
     induced_regular_rep,
+    iterate_coextension,
     one_step_isometric,
     op_norm,
     row_contraction_check,
@@ -28,8 +29,15 @@ from corrdil import (
     trivial_action,
     validate,
 )
-from corrdil.linalg import _STACK_BYTES, _SUPPORT_MIN
-from corrdil.representation import _corner_defects, _extent, _extent_bound, _lead_product
+from corrdil.linalg import (
+    _STACK_BYTES,
+    _SUPPORT_MIN,
+    _extent,
+    _extent_bound,
+    _lead_product,
+    _op_norms,
+)
+from corrdil.representation import _corner_defects, _structure_residuals
 from helpers import (
     cuntz_graph,
     cycle_graph,
@@ -38,6 +46,7 @@ from helpers import (
     rng_for,
     z2_loop_swap,
     z2_vertex_swap,
+    z3_cycle_rotation,
     zero_rep,
 )
 
@@ -389,6 +398,107 @@ def test_rep_keeps_read_only_copies():
         given[0, 0] = 7.0
     assert rep.proj["v"][0, 0] == 1.0 and rep.edge_op["e0"][0, 0] == 0.5
     assert rep.edge_op["e1"][0, 0] == 0.0 and rep.unitaries[1][0, 0] == 0.0
+
+
+def test_rep_keeps_read_only_owned_arrays_and_copies_views():
+    owned = np.eye(2, dtype=complex)
+    owned.setflags(write=False)
+    wide = np.zeros((2, 4), dtype=complex)
+    wide[:, :2] = 0.5 * np.eye(2)
+    wide.setflags(write=False)
+    view = wide[:, :2]
+    real = np.zeros((2, 2))
+    real.setflags(write=False)
+    rep = GraphRep(cuntz_graph(2), 2, {"v": owned}, {"e0": view, "e1": real})
+    assert rep.proj["v"] is owned
+    for given in ("e0", "e1"):
+        stored = rep.edge_op[given]
+        assert stored.base is None and stored.dtype == complex and not stored.flags.writeable
+    assert rep.edge_op["e0"] is not view and np.array_equal(rep.edge_op["e0"], view)
+    assert rep.edge_op["e1"] is not real
+
+
+def frozen_step_inputs() -> dict:
+    """Inputs of at least 100 dims whose range fibers are small: the step's
+    own working set (one factor per fiber) is a small part of its output."""
+    graph, action = z3_cycle_rotation()
+    return {
+        "cycle4": random_cc_rep(rng_for(1420), cycle_graph(4), 120),
+        "z3-induced": induced_regular_rep(random_cc_rep(rng_for(1421), graph, 40), action),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(frozen_step_inputs()))
+def test_step_output_is_built_once(name):
+    # each dilated matrix and the embed are built read-only and kept as they
+    # are: copying them into the new GraphRep would put the peak near twice
+    # the output's matrix bytes
+    rep = frozen_step_inputs()[name]
+    assert rep.dim >= 100
+    steps = []
+    peak = traced_peak(lambda: steps.append(one_step_isometric(rep)))
+    out = steps[0].rep_after
+    built = [*out.proj.values(), *out.edge_op.values(), *(out.unitaries or {}).values(),
+             steps[0].embed]
+    assert all(M.base is None and not M.flags.writeable for M in built)
+    assert peak < 1.5 * sum(M.nbytes for M in built)
+
+
+# ---------------------------------------------------------------- one exact-norm body
+
+def one_norm_stages() -> dict:
+    """Stages past _SUPPORT_MIN: coextensions of a random and of an induced
+    covariant representation, and the induced one itself."""
+    induced = induced_regular_rep(
+        random_cc_rep(rng_for(1431), cuntz_graph(2), 20), z2_loop_swap(mixer=True))
+    return {
+        "coext-cuntz2-40": iterate_coextension(
+            random_cc_rep(rng_for(1430), cuntz_graph(2), 40), 1).final_rep,
+        "induced-z2-mixer-2x20": induced,
+        "coext-induced-z2-mixer-2x20": iterate_coextension(induced, 1).final_rep,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(one_norm_stages()))
+def test_validate_lines_are_op_norms_of_their_residuals(name):
+    rep = one_norm_stages()[name]
+    assert rep.dim > _SUPPORT_MIN
+    residuals = {}
+    for check, R in _structure_residuals(rep):
+        residuals.setdefault(check, []).append(R)
+    lines = validate(rep).checks
+    assert [line.name for line in lines] == list(residuals)
+    assert any(len(rs) == 1 for rs in residuals.values())
+    for line in lines:
+        assert line.value == max(op_norm(R) for R in residuals[line.name]), line.name
+
+
+def test_op_norms_are_op_norm_bit_for_bit():
+    # mixed shapes on both sides of _SUPPORT_MIN, square and rectangular
+    residuals = []
+    for rep in one_norm_stages().values():
+        for _, R in _structure_residuals(rep):
+            residuals += [R, R[:_SUPPORT_MIN, :_SUPPORT_MIN], R[:_SUPPORT_MIN + 1, :], R[:, :5]]
+    sides = {min(R.shape) > _SUPPORT_MIN for R in residuals}
+    assert sides == {False, True}
+    assert _op_norms(iter(residuals)).tolist() == [op_norm(R) for R in residuals]
+
+
+def test_one_norm_of_a_residual_with_an_inf_entry_is_nan():
+    rep = one_norm_stages()["induced-z2-mixer-2x20"]
+    R = next(R for _, R in _structure_residuals(rep))
+    inf = R.copy()
+    inf[1, 2] = np.inf
+    assert min(R.shape) > _SUPPORT_MIN
+    assert np.isnan(op_norm(inf))
+    norms = _op_norms([R, inf, R])
+    assert np.isnan(norms[1]) and not np.isnan(norms[0])
+    # an overflowed product in validate: its line is NaN and fails
+    P = np.eye(rep.dim, dtype=complex)
+    P[0, 0] = 1e200   # P @ P - P overflows there and is finite elsewhere
+    with np.errstate(over="ignore", invalid="ignore"):
+        line = validate(GraphRep(rep.graph, rep.dim, {"v": P}, rep.edge_op)).checks[0]
+    assert line.name == "projection[v]" and np.isnan(line.value) and not line.passed
 
 
 # ---------------------------------------------------------------- induced rep
