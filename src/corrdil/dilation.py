@@ -215,6 +215,11 @@ def one_step_isometric(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationS
     basis(s(f))* u_g basis(s(e))] K_v, its action on X tensor H, which
     commutes with the defect and so leaves D invariant.
     """
+    return _extend(rep, "isometric-step", *_isometric_blocks(rep, tol), tol)
+
+
+def _isometric_blocks(rep: GraphRep, tol: Tolerance) -> tuple:
+    """one_step_isometric's summands and blocks, its factors freed before _extend runs."""
     graph = rep.graph
     basis = _vertex_basis(rep)
     src = {e.eid: basis[e.src] for e in graph.edges}
@@ -250,7 +255,7 @@ def one_step_isometric(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationS
                     blocks.append((gv, v, gK.conj().T @ M @ K))
             unitary_blocks[g] = blocks
     summands = {v: (v, K.shape[1]) for v, (_, _, K) in fibers.items()}
-    return _extend(rep, "isometric-step", summands, edge_blocks, unitary_blocks, tol)
+    return summands, edge_blocks, unitary_blocks
 
 
 def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:

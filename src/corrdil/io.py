@@ -28,12 +28,12 @@ where a matrix M is a nested array of [re, im] pairs, row-major.  Canonical
 serialization sorts keys, prints floats with 17 significant digits, and is
 byte-stable under parse/write round trips.
 
-Matrices take array fast paths both ways: matrix_to_json converts with one
-tolist, the emitter writes each row of [re, im] pairs with one join, and
-matrix_from_json converts with one np.array once the JSON types check out.
-Input the fast path does not accept goes through the entry-by-entry loop,
-which names the first bad row or entry, so the bytes written and every
-ParseError message are what the plain loops give.
+Matrices take array fast paths both ways: problem_text hands the emitter
+the stored complex arrays, written one row per "%.17g" format call, and
+matrix_from_json checks the JSON types on the flattened lists and converts
+them with one np.array.  Input the fast path does not accept goes through
+the entry-by-entry loop, which names the first bad row or entry, so the
+bytes written and every ParseError message are what the plain loops give.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
@@ -90,17 +91,26 @@ def _fmt_scalar(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _is_pair_row(obj: list) -> bool:
-    """obj is a nonempty list of [re, im] lists of two floats."""
-    return (bool(obj) and {*map(type, obj)} == {list} and {*map(len, obj)} == {2}
-            and {*map(type, chain.from_iterable(obj))} == {float})
+@lru_cache(maxsize=16)   # a file's matrices have few widths
+def _row_format(width: int) -> str:
+    """The %-format of a matrix row of width [re, im] pairs."""
+    return "[" + ", ".join(["[%.17g, %.17g]"] * width) + "]"
 
 
 def _emit(obj, indent: int) -> tuple:
     """The canonical text of obj at the given indent level, and its depth:
     0 for a scalar, 3 for a dict (which forces dicts onto their own lines),
     and 1 + the deepest item for a list.  A list of depth <= 2 is written on
-    one line, anything deeper one item per line."""
+    one line, anything deeper one item per line.  A complex matrix is
+    written as its matrix_to_json list, with one % call per row."""
+    if isinstance(obj, np.ndarray):
+        if not obj.size:
+            return _emit(matrix_to_json(obj), indent)
+        # + 0.0 writes -0.0 as 0, as _fmt_scalar does; "%.17g" is format's ".17g"
+        fmt, pad = _row_format(obj.shape[1]), "  " * indent
+        rows = [f"{pad}  {fmt % tuple((row.view(float) + 0.0).tolist())}"
+                for row in np.ascontiguousarray(obj, dtype=complex)]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]", 3
     if isinstance(obj, dict):
         if not obj:
             return "{}", 3
@@ -111,10 +121,6 @@ def _emit(obj, indent: int) -> tuple:
         ]
         return "{\n" + ",\n".join(lines) + "\n" + pad + "}", 3
     if isinstance(obj, list):
-        if _is_pair_row(obj):
-            # a matrix row: the same text as one pair at a time, in one join
-            pairs = [f"[{re + 0.0:.17g}, {im + 0.0:.17g}]" for re, im in obj]
-            return "[" + ", ".join(pairs) + "]", 2
         items = [_emit(x, indent + 1) for x in obj]
         depth = 1 + max((d for _, d in items), default=0)
         if depth <= 2:
@@ -139,24 +145,22 @@ def matrix_to_json(M) -> list:
 
 
 def _finite_pair_array(obj):
-    """obj as an n x m complex array when it is a list of equal-length rows of
-    [re, im] lists of finite JSON numbers (not booleans), else None.  Every
-    entry equals complex(re, im) bit for bit."""
+    """obj as an n x m complex array when it is a nonempty list of
+    equal-length rows of [re, im] lists of finite JSON numbers (not
+    booleans), else None.  Every entry equals complex(re, im) bit for bit."""
+    # the shape and the JSON types are checked on the flattened lists, so
+    # that np.array sees only ints and floats and one flat list of them
+    pairs = list(chain.from_iterable(obj)) if {*map(type, obj)} == {list} else ()
+    if not pairs or {*map(len, obj)} != {len(obj[0])} or {*map(type, pairs)} != {list}:
+        return None
+    vals = list(chain.from_iterable(pairs))
+    if {*map(len, pairs)} != {2} or not {*map(type, vals)} <= {int, float}:
+        return None
     try:
-        A = np.array(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        A = np.array(vals, dtype=float)
+    except OverflowError:   # an integer beyond the float range
         return None
-    if A.ndim != 3 or A.shape[2] != 2:
-        return None
-    # np.array converts true, "1.5" and null (to nan) silently, and takes
-    # tuples for lists: only the JSON types may take this path
-    pairs = list(chain.from_iterable(obj))
-    if ({*map(type, obj)} != {list} or {*map(type, pairs)} != {list}
-            or not {*map(type, chain.from_iterable(pairs))} <= {int, float}):
-        return None
-    if not np.isfinite(A).all():
-        return None
-    return A.view(complex)[..., 0]
+    return A.view(complex).reshape(len(obj), -1) if np.isfinite(A).all() else None
 
 
 def matrix_from_json(obj, path: str) -> np.ndarray:
@@ -351,7 +355,7 @@ def _action_to_json(a: GaugeAction) -> dict:
             "element": gi,
             "range": v,
             "source": w,
-            "matrix": matrix_to_json(a.bucket_unitary[(gi, v, w)]),
+            "matrix": a.bucket_unitary[(gi, v, w)],
         })
     return {
         "group": {"table": [list(row) for row in a.group.table]},
@@ -363,13 +367,11 @@ def _action_to_json(a: GaugeAction) -> dict:
 def _rep_to_json(rep: GraphRep) -> dict:
     out = {
         "dim": rep.dim,
-        "proj": {v: matrix_to_json(P) for v, P in rep.proj.items()},
-        "edge_op": {e: matrix_to_json(T) for e, T in rep.edge_op.items()},
+        "proj": rep.proj,
+        "edge_op": rep.edge_op,
     }
     if rep.unitaries is not None:
-        out["unitaries"] = [
-            matrix_to_json(rep.unitaries[g]) for g in range(rep.action.group.order)
-        ]
+        out["unitaries"] = [rep.unitaries[g] for g in range(rep.action.group.order)]
     return out
 
 

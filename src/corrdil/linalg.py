@@ -240,6 +240,8 @@ def _support_norms(C: np.ndarray) -> np.ndarray:
     keep_rows, keep_cols = rows > 0, cols > 0
     keep_rows[:, :p] &= ~decoupled
     keep_cols[:, :p] &= ~decoupled
+    if keep_rows.all() and keep_cols.all():   # dense: the coupled block is R
+        return np.linalg.svd(C, compute_uv=False)[:, 0]
     norms = np.where(decoupled, np.abs(C[:, diag, diag]), 0.0).max(axis=1, initial=0.0)
     blocks = {}   # coupled block shape -> [(stack index, block)]
     for i, (r, c) in enumerate(zip(keep_rows, keep_cols)):

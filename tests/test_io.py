@@ -131,6 +131,8 @@ def test_bad_entry_pair():
     ([[[[1, 0]]]], "m[0][0]: expected an [re, im] pair"),
     ([[[1, 0]], "x"], "m[1]: expected an array"),
     ([[[1, 0]], [[2, 0], [3, 0]]], "m[1]: ragged rows"),
+    ([[[1, 0], [2, 0]], [[3, 0], [4, 0]], [[5, 0]]], "m[2]: ragged rows"),
+    ([[], [[1, 0]]], "m[1]: ragged rows"),
     ([[(1, 0)]], "m[0][0]: expected an [re, im] pair"),
     ([([1, 0],)], "m[0]: expected an array"),
     ([[[1e400, 0]]], "m[0][0]: entry is not finite"),
@@ -138,10 +140,22 @@ def test_bad_entry_pair():
     ([[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]], "m[1][1]: entry is not finite"),
     ([], "m: expected a nonempty array of rows"),
 ], ids=["true", "string", "null", "triple", "short-pair", "too-deep", "row-not-array",
-        "ragged", "tuple-pair", "tuple-row", "float-overflow", "int-overflow", "nan-later-row", "empty"])
+        "ragged", "ragged-short-last", "ragged-empty-first", "tuple-pair", "tuple-row", "float-overflow", "int-overflow", "nan-later-row", "empty"])
 def test_matrix_from_json_rejects(obj, message):
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         matrix_from_json(obj, "m")
+
+
+json_numbers = st.one_of(st.integers(-2**70, 2**70), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.lists(st.lists(json_numbers, min_size=2, max_size=2), min_size=m, max_size=m),
+    min_size=1, max_size=4)))
+def test_matrix_from_json_converts_ints_and_floats_exactly(rows):
+    A = matrix_from_json(rows, "m")
+    want = np.array([[complex(re, im) for re, im in row] for row in rows])
+    assert A.shape == want.shape and A.tobytes() == want.tobytes()
 
 
 def test_matrix_from_json_values():
@@ -268,6 +282,68 @@ def test_canonical_float_list_and_int_pairs():
         '',
     ])
     assert canonical_text(json.loads(text)) == text
+
+
+def list_emitter_text(pf: ProblemFile) -> str:
+    """The canonical text of problem_text's object with every matrix given to
+    the generic list emitter as its matrix_to_json list."""
+    tree = json.loads(problem_text(pf))
+    if pf.action is not None:
+        for entry in tree["action"]["bucket_unitaries"]:
+            key = (entry["element"], entry["range"], entry["source"])
+            entry["matrix"] = matrix_to_json(pf.action.bucket_unitary[key])
+    rep = pf.representation
+    if rep is not None:
+        tree["representation"]["proj"] = {v: matrix_to_json(P) for v, P in rep.proj.items()}
+        tree["representation"]["edge_op"] = {e: matrix_to_json(T) for e, T in rep.edge_op.items()}
+        if rep.unitaries is not None:
+            tree["representation"]["unitaries"] = [
+                matrix_to_json(rep.unitaries[g]) for g in range(len(rep.unitaries))]
+    return canonical_text(tree)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def finite_reps(draw) -> GraphRep:
+    """A representation of dim 0-5 on a two-vertex graph whose matrices hold
+    arbitrary finite entries: +-0.0, subnormals, +-1.8e308 and the rest."""
+    d = draw(st.integers(0, 5))
+    g = DirectedGraph(("v", "w"), (("e0", "v", "w"), ("e1", "w", "w")))
+    entries = st.lists(st.builds(complex, finite_floats, finite_floats), min_size=d * d,
+                       max_size=d * d).map(lambda zs: np.array(zs, dtype=complex).reshape(d, d))
+    return GraphRep(g, d, {v: draw(entries) for v in g.vertices},
+                    {e.eid: draw(entries) for e in g.edges})
+
+
+@given(finite_reps())
+def test_array_writer_matches_the_list_emitter(rep):
+    pf = ProblemFile(rep.graph, None, rep, Tolerance())
+    text = problem_text(pf)
+    assert text == list_emitter_text(pf)
+    assert canonical_text(json.loads(text)) == text
+
+
+def test_array_writer_on_empty_shapes():
+    g = cuntz_graph(1)
+    empty = np.zeros((0, 0), dtype=complex)
+    pf = ProblemFile(g, None, GraphRep(g, 0, {"v": empty}, {"e0": empty}), Tolerance())
+    text = problem_text(pf)
+    assert '"e0": []' in text and text == list_emitter_text(pf)
+    for shape in [(0, 0), (2, 0), (0, 3)]:
+        M = np.zeros(shape, dtype=complex)
+        assert canonical_text({"m": M}) == canonical_text({"m": matrix_to_json(M)})
+
+
+def test_array_writer_on_covariant_files():
+    # bucket matrices and unitaries, a -0.0 entry and entries near 1e+-300
+    for pf in (sample_problem(), canonical_sample_problem()):
+        assert pf.action.bucket_unitary
+        text = problem_text(pf)
+        assert text == list_emitter_text(pf)
+        assert canonical_text(json.loads(text)) == text
+    assert '"unitaries"' in text and '"bucket_unitaries": [\n' in text
 
 
 # ---------------------------------------------------------------- pinned bytes

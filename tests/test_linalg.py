@@ -428,6 +428,22 @@ def test_support_norm_of_degenerate_supports():
     assert op_norm(single) == 3.0
 
 
+def test_dense_stack_is_normed_by_its_own_svd():
+    # no zero row, zero column or decoupled index anywhere in the stack: the
+    # norms are its whole-stack SVD, bit for bit, and they stay so when one
+    # scattered member sends the stack through the coupled-block search
+    rng = rng_for(1385)
+    n = linalg._SUPPORT_MIN + 9
+    dense = np.stack([random_block(rng, n, n + 4) for _ in range(5)])
+    dense[:, 0, 0] = 0.0   # an exact zero entry leaves its row and column coupled
+    whole = np.linalg.svd(dense, compute_uv=False)[:, 0]
+    assert np.array_equal(linalg._exact_norms(dense), whole)
+    assert [op_norm(R) for R in dense] == whole.tolist()
+    mixed = np.concatenate([dense, scattered(rng, (n, n + 4), random_block(rng, 5, 5),
+                                             np.ones(3))[None]])
+    assert np.array_equal(linalg._exact_norms(mixed)[:5], whole)
+
+
 @pytest.mark.parametrize("shape", [(40, 70), (70, 40), (33, 90)])
 def test_support_norm_decides_rectangular_bounds(shape):
     rng = rng_for(1390 + shape[0])

@@ -444,6 +444,19 @@ def test_step_output_is_built_once(name):
     assert peak < 1.5 * sum(M.nbytes for M in built)
 
 
+def test_isometric_step_frees_its_factors():
+    # one range fiber 200 columns wide: the fiber's row, defect, eigenvectors
+    # and C are freed before _extend allocates the output (kept alive
+    # through it, they put the peak near twice the output's matrix bytes)
+    rep = random_cc_rep(rng_for(1425), cuntz_graph(2), 100)
+    steps = []
+    peak = traced_peak(lambda: steps.append(one_step_isometric(rep)))
+    out = steps[0].rep_after
+    assert out.dim > 2 * rep.dim
+    assert peak < 1.5 * sum(M.nbytes for M in [*out.proj.values(), *out.edge_op.values(),
+                                               steps[0].embed])
+
+
 # ---------------------------------------------------------------- one exact-norm body
 
 def one_norm_stages() -> dict:
@@ -471,6 +484,21 @@ def test_validate_lines_are_op_norms_of_their_residuals(name):
     assert any(len(rs) == 1 for rs in residuals.values())
     for line in lines:
         assert line.value == max(op_norm(R) for R in residuals[line.name]), line.name
+
+
+def test_validate_on_a_dense_rep_is_the_svd_of_its_residuals():
+    # a 96-dim representation whose residuals are dense: each validate value
+    # is the largest whole-matrix SVD norm of its residuals, bit for bit
+    rep = random_cc_rep(rng_for(1440), cycle_graph(3), 96)
+    residuals = {}
+    for check, R in _structure_residuals(rep):
+        residuals.setdefault(check, []).append(R)
+    dense = [R for rs in residuals.values() for R in rs
+             if (R != 0).any(axis=0).all() and (R != 0).any(axis=1).all()]
+    assert len(dense) > 10
+    for line in validate(rep).checks:
+        svd = [np.linalg.svd(R, compute_uv=False)[0] for R in residuals[line.name]]
+        assert line.value == max(svd), line.name
 
 
 def test_op_norms_are_op_norm_bit_for_bit():
