@@ -134,9 +134,8 @@ def _vertex_basis(rep: GraphRep) -> dict:
     """
     out = {}
     for v in rep.graph.vertices:
-        P = rep.proj[v]
-        w, V = np.linalg.eigh(0.5 * (P + P.conj().T))
-        out[v] = V[:, w > 0.5]
+        _, s, V = _eigen_factor(rep.proj[v], 0.5)
+        out[v] = V[:, s > 0]
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -42,50 +43,55 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group as an order x order multiplication table of indices."""
+    """A finite group given by its multiplication table alone: table[g][h] is
+    the index of gh.  The order, the identity and the inverse map are derived
+    from the table.  A table that is not a list or tuple of lists or tuples
+    of integers (booleans excluded), not square, has an entry outside
+    range(order), no identity or an element without inverse raises
+    StructureError naming the first bad row or entry, so every FiniteGroup
+    has a consistent table.  Only associativity is left to verify_group."""
 
-    order: int
     table: tuple
-    identity: int
-    inverse: tuple
+    order: int = field(init=False)
+    identity: int = field(init=False)
+    inverse: tuple = field(init=False)
 
     def __post_init__(self):
-        table = tuple(tuple(int(x) for x in row) for row in self.table)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "inverse", tuple(int(x) for x in self.inverse))
-
-    @staticmethod
-    def from_table(table) -> "FiniteGroup":
-        """Derive identity and inverses from the table alone."""
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = self.table
+        if not isinstance(rows, (list, tuple)):
+            raise StructureError("multiplication table is not an array of rows")
+        for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)):
+                raise StructureError(f"table row {i} is not an array")
+            for j, x in enumerate(row):
+                if not isinstance(x, Integral) or isinstance(x, bool):
+                    raise StructureError(f"table entry [{i}][{j}] is not an integer")
         n = len(rows)
-        if any(len(r) != n for r in rows):
+        if any(len(row) != n for row in rows):
             raise StructureError("multiplication table is not square")
-        if any(not (0 <= x < n) for r in rows for x in r):
+        table = tuple(tuple(int(x) for x in row) for row in rows)
+        if any(not (0 <= x < n) for row in table for x in row):
             raise StructureError("table entry out of range")
-        identity = None
-        for e in range(n):
-            if all(rows[e][g] == g and rows[g][e] == g for g in range(n)):
-                identity = e
-                break
-        if identity is None:
+        T, ar = np.array(table, dtype=int).reshape(n, n), np.arange(n)
+        ids = np.flatnonzero((T == ar).all(axis=1) & (T == ar[:, None]).all(axis=0))
+        if not ids.size:
             raise StructureError("table has no identity element")
-        inverse = []
-        for g in range(n):
-            inv = [h for h in range(n) if rows[g][h] == identity and rows[h][g] == identity]
-            if not inv:
-                raise StructureError(f"element {g} has no inverse")
-            inverse.append(inv[0])
-        return FiniteGroup(n, rows, identity, tuple(inverse))
+        unit = (T == ids[0]) & (T.T == ids[0])   # unit[g, h]: gh = hg = identity
+        missing = np.flatnonzero(~unit.any(axis=1))
+        if missing.size:
+            raise StructureError(f"element {missing[0]} has no inverse")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "order", n)
+        object.__setattr__(self, "identity", int(ids[0]))
+        object.__setattr__(self, "inverse", tuple(unit.argmax(axis=1).tolist()))
 
     @staticmethod
     def trivial() -> "FiniteGroup":
-        return FiniteGroup(1, ((0,),), 0, (0,))
+        return FiniteGroup(((0,),))
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
-        table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        return FiniteGroup(n, table, 0, tuple((-i) % n for i in range(n)))
+        return FiniteGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
     def mul(self, g: int, h: int) -> int:
         self.check_element(g)
@@ -102,29 +108,10 @@ class FiniteGroup:
 
 
 def verify_group(g: FiniteGroup) -> CheckResult:
-    """Check the table against all group axioms and the inverse map."""
-    n = g.order
-    if n < 1:
-        return CheckResult(False, "group order must be at least 1")
+    """Check associativity, the one group axiom FiniteGroup does not check."""
     T = np.array(g.table, dtype=int)
-    if T.shape != (n, n):
-        return CheckResult(False, f"table shape {T.shape} does not match order {n}")
-    if T.min() < 0 or T.max() >= n:
-        return CheckResult(False, "table entry out of range")
-    if not (0 <= g.identity < n):
-        return CheckResult(False, "identity index out of range")
-    e = g.identity
-    if not (np.all(T[e, :] == np.arange(n)) and np.all(T[:, e] == np.arange(n))):
-        return CheckResult(False, "identity law fails")
-    inv = np.array(g.inverse, dtype=int)
-    if inv.shape != (n,) or inv.min() < 0 or inv.max() >= n:
-        return CheckResult(False, "inverse map malformed")
-    if not (np.all(T[np.arange(n), inv] == e) and np.all(T[inv, np.arange(n)] == e)):
-        return CheckResult(False, "inverse law fails")
-    # associativity: T[T[a,b],c] == T[a,T[b,c]] for all triples
-    left = T[T, :]            # left[a,b,c] = T[T[a,b], c]
-    right = T[:, T]           # right[a,b,c] = T[a, T[b,c]]
-    if not np.array_equal(left, right):
+    # T[T, :][a, b, c] = (ab)c and T[:, T][a, b, c] = a(bc)
+    if not np.array_equal(T[T, :], T[:, T]):
         return CheckResult(False, "associativity fails")
     return CheckResult(True)
 
@@ -159,9 +146,14 @@ class GaugeAction:
                 )
         units = {}
         for (gi, v, w), U in self.bucket_unitary.items():
+            where = f"bucket matrix ({gi}, {v!r}, {w!r})"
+            if not 0 <= gi < self.group.order:
+                raise StructureError(f"{where} names no group element")
+            if (v, w) not in self.graph._bucket:
+                raise StructureError(f"{where} names no nonempty bucket")
             U = as_cmatrix(U)
             if not np.isfinite(U).all():
-                raise StructureError(f"bucket matrix ({gi}, {v!r}, {w!r}) has a non-finite entry")
+                raise StructureError(f"{where} has a non-finite entry")
             units[(int(gi), v, w)] = U
         # every nonempty bucket needs a matrix for every group element,
         # defaulting to the identity for the group identity

@@ -24,7 +24,8 @@ A problem file is UTF-8 JSON with up to four top-level blocks::
       "tolerance": {"eps": ..., "eig_clip": ..., "max_dim": ...}   # optional
     }
 
-where a matrix M is a nested array of [re, im] pairs, row-major.  Canonical
+where a matrix M is a nonempty nested array of [re, im] pairs, row-major,
+except that the operators of a "dim": 0 representation are [].  Canonical
 serialization sorts keys, prints floats with 17 significant digits, and is
 byte-stable under parse/write round trips.
 
@@ -238,7 +239,7 @@ def _action_from_json(obj, graph: DirectedGraph, path: str) -> GaugeAction:
     group_obj = _need(obj, "group", dict, path)
     table = _need(group_obj, "table", list, f"{path}.group")
     try:
-        group = FiniteGroup.from_table(table)
+        group = FiniteGroup(table)
     except CorrdilError as exc:
         raise ParseError(f"{path}.group: {exc}") from exc
     perms = _need(obj, "vertex_perm", list, path)
@@ -260,6 +261,8 @@ def _action_from_json(obj, graph: DirectedGraph, path: str) -> GaugeAction:
         g = _need(entry, "element", int, where)
         v = _need(entry, "range", str, where)
         w = _need(entry, "source", str, where)
+        if (g, v, w) in units:
+            raise ParseError(f"{where}: repeats element {g}, bucket ({v!r}, {w!r})")
         units[(g, v, w)] = matrix_from_json(_need(entry, "matrix", list, where), f"{where}.matrix")
     try:
         return GaugeAction(group, graph, tuple(perms), units)
@@ -271,15 +274,19 @@ def _rep_from_json(obj, graph: DirectedGraph, action, path: str) -> GraphRep:
     dim = _need(obj, "dim", int, path)
     proj_obj = _need(obj, "proj", dict, path)
     edge_obj = _need(obj, "edge_op", dict, path)
-    proj = {v: matrix_from_json(M, f"{path}.proj[{v!r}]") for v, M in proj_obj.items()}
-    edge_op = {e: matrix_from_json(M, f"{path}.edge_op[{e!r}]") for e, M in edge_obj.items()}
+
+    def operator(M, where):   # a dim-0 operator is written as []
+        return np.zeros((0, 0), dtype=complex) if dim == 0 and M == [] else matrix_from_json(M, where)
+
+    proj = {v: operator(M, f"{path}.proj[{v!r}]") for v, M in proj_obj.items()}
+    edge_op = {e: operator(M, f"{path}.edge_op[{e!r}]") for e, M in edge_obj.items()}
     unitaries = None
     if "unitaries" in obj:
         raw = obj["unitaries"]
         if not isinstance(raw, list):
             raise ParseError(f"{path}.unitaries: expected an array")
         unitaries = {
-            g: matrix_from_json(M, f"{path}.unitaries[{g}]") for g, M in enumerate(raw)
+            g: operator(M, f"{path}.unitaries[{g}]") for g, M in enumerate(raw)
         }
     try:
         return GraphRep(graph, dim, proj, edge_op, action=action, unitaries=unitaries)

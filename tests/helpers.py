@@ -131,6 +131,12 @@ def zero_rep(graph: DirectedGraph, dim: int) -> GraphRep:
 
 # ---------------------------------------------------------------- gauge setups
 
+# the multiplication table of a non-associative loop of order 5: a Latin
+# square with identity 0 in which every element is its own inverse, so that
+# of the group axioms only associativity fails
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
 
 def z2_loop_swap(graph: DirectedGraph | None = None, mixer: bool = False) -> GaugeAction:
     """Z_2 on the two-loop graph: identity on the vertex, swapping (or

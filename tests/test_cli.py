@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrdil.cli
 from corrdil import (
@@ -18,7 +23,7 @@ from corrdil import (
     trivial_action,
 )
 from corrdil.cli import main
-from helpers import cuntz_graph, random_cc_rep, rng_for, z2_loop_swap, zero_rep
+from helpers import LOOP5, cuntz_graph, random_cc_rep, rng_for, z2_loop_swap, zero_rep
 
 
 @pytest.fixture()
@@ -455,3 +460,97 @@ def _partial_perm_problem(tmp_path) -> str:
 def test_partial_vertex_perm_exit_2(tmp_path, capsys, argv):
     assert main(argv + [_partial_perm_problem(tmp_path)]) == 2
     assert "action.vertex_perm[1]" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- group tables
+
+def _group_file(path, table) -> str:
+    path.write_text(json.dumps({"graph": {"vertices": ["v"], "edges": []},
+                                "action": {"group": {"table": table},
+                                           "vertex_perm": [{"v": "v"}] * len(table)}}))
+    return str(path)
+
+
+def test_validate_reports_a_non_associative_table(tmp_path, capsys):
+    # the order-5 loop has an identity and inverses, so only verify_group rejects it
+    assert main(["validate", _group_file(tmp_path / "loop.json", LOOP5)]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^action\.group-axioms +0\.0+e\+00 +- +FAIL$", out, re.M)
+    assert "note: group axioms: associativity fails" in out
+    assert "result: FAIL (exit 1)" in out
+
+
+@st.composite
+def malformed_tables(draw):
+    """The Z_n table with one row or entry spoiled."""
+    n = draw(st.integers(1, 4))
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["row", "entry", "ragged", "range"]))
+    if kind == "row":
+        table[i] = draw(st.sampled_from([None, 0, "0", {"0": 0}]))
+    elif kind == "entry":
+        table[i][j] = draw(st.one_of(st.none(), st.text(max_size=2), st.booleans(),
+                                     st.floats(allow_nan=False, allow_infinity=False)))
+    elif kind == "ragged":
+        table[i] = table[i][:j] if draw(st.booleans()) else table[i] + [0] * (j + 1)
+    else:
+        table[i][j] = draw(st.one_of(st.integers(n, 10**30), st.integers(-10**30, -1)))
+    return table
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(table=malformed_tables())
+def test_malformed_group_tables_exit_2(tmp_path_factory, table):
+    path = _group_file(tmp_path_factory.mktemp("table") / "t.json", table)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["validate", path]) == 2
+    assert err.getvalue().startswith("error: action.group: ")
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------- bucket entries
+
+def _bucket_problem(tmp_path, entries) -> str:
+    one = [[[1, 0]]]
+    obj = {
+        "graph": {"vertices": ["v"], "edges": [["e0", "v", "v"]]},
+        "action": {"group": {"table": [[0, 1], [1, 0]]}, "vertex_perm": [{"v": "v"}] * 2,
+                   "bucket_unitaries": [{"element": g, "range": v, "source": "v", "matrix": one}
+                                        for g, v in entries]},
+        "representation": {"dim": 1, "proj": {"v": one}, "edge_op": {"e0": [[[0, 0]]]},
+                           "unitaries": [one, one]},
+    }
+    path = tmp_path / "buckets.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([(1, "v"), (7, "zz")], "action: bucket matrix (7, 'zz', 'v') names no group element"),
+    ([(1, "v"), (1, "zz")], "action: bucket matrix (1, 'zz', 'v') names no nonempty bucket"),
+    ([(1, "v"), (1, "v")], "action.bucket_unitaries[1]: repeats element 1, bucket ('v', 'v')"),
+], ids=["unknown-element", "unknown-range", "repeated"])
+def test_bucket_entry_naming_no_bucket_once_exit_2(tmp_path, capsys, entries, message):
+    out_path = tmp_path / "final.json"
+    argv = ["dilate", "--mode", "isometric", _bucket_problem(tmp_path, entries), "--out", str(out_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
+# ---------------------------------------------------------------- dim 0
+
+def test_dim_zero_file_validates_and_dilates(tmp_path, capsys):
+    empty = np.zeros((0, 0), dtype=complex)
+    a = z2_loop_swap()
+    rep = GraphRep(a.graph, 0, {"v": empty}, {"e0": empty, "e1": empty},
+                   action=a, unitaries={0: empty, 1: empty})
+    path, out_path = tmp_path / "dim0.json", tmp_path / "final.json"
+    save_problem(ProblemFile(a.graph, a, rep, Tolerance()), path)
+    assert main(["validate", str(path)]) == 0
+    assert main(["dilate", "--mode", "cp", str(path), "--out", str(out_path)]) == 0
+    assert load_problem(out_path).representation.dim == 0
+    assert main(["validate", str(out_path)]) == 0
+    assert "result: PASS (exit 0)" in capsys.readouterr().out

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from corrdil import (
+    CheckResult,
     DirectedGraph,
     FiniteGroup,
     GaugeAction,
@@ -22,6 +23,7 @@ from corrdil import (
     verify_group,
 )
 from helpers import (
+    LOOP5,
     cuntz_graph,
     random_corr_element,
     rng_for,
@@ -37,17 +39,47 @@ from helpers import (
 def test_verify_group_examples():
     assert verify_group(FiniteGroup.cyclic(2)).ok
     assert verify_group(FiniteGroup.trivial()).ok
-    broken = FiniteGroup(order=3, table=((0, 1, 2), (1, 2, 0), (2, 1, 0)),
-                         identity=0, inverse=(0, 2, 1))
-    assert not verify_group(broken).ok
+    assert verify_group(FiniteGroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])).ok
+    loop = FiniteGroup(LOOP5)
+    assert (loop.identity, loop.inverse) == (0, (0, 1, 2, 3, 4))
+    assert verify_group(loop) == CheckResult(False, "associativity fails")
 
 
-def test_from_table_derives_structure():
-    g = FiniteGroup.from_table([[0, 1], [1, 0]])
-    assert g.identity == 0
-    assert g.inverse == (0, 1)
-    with pytest.raises(StructureError):
-        FiniteGroup.from_table([[1, 1], [1, 1]])     # no identity
+def test_table_derives_structure():
+    g = FiniteGroup([[0, 1], [1, 0]])
+    assert (g.order, g.table, g.identity, g.inverse) == (2, ((0, 1), (1, 0)), 0, (0, 1))
+    assert FiniteGroup(((2, 0, 1), (0, 1, 2), (1, 2, 0))).identity == 1
+    assert FiniteGroup.cyclic(4).inverse == (0, 3, 2, 1)
+    assert FiniteGroup([[np.int64(0)]]).table == ((0,),)
+    assert FiniteGroup.cyclic(3) == FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+def test_finite_group_has_one_constructor():
+    assert not hasattr(FiniteGroup, "from_table")
+    with pytest.raises(TypeError):
+        FiniteGroup(order=1, table=((0,),), identity=0, inverse=(0,))
+
+
+@pytest.mark.parametrize("table, message", [
+    ("01", "multiplication table is not an array of rows"),
+    ([1, 2], "table row 0 is not an array"),
+    ([[0, 1], "10"], "table row 1 is not an array"),
+    ([[None]], "table entry [0][0] is not an integer"),
+    ([[0, 1], [1, "a"]], "table entry [1][1] is not an integer"),
+    ([[0.0]], "table entry [0][0] is not an integer"),
+    ([[0, 1], [1, True]], "table entry [1][1] is not an integer"),
+    ([[0, 1], [1]], "multiplication table is not square"),
+    ([[0, 1, 2], [1, 2, 0]], "multiplication table is not square"),
+    ([[0, 1], [1, 2]], "table entry out of range"),
+    ([[0, 1], [1, -1]], "table entry out of range"),
+    ([], "table has no identity element"),
+    ([[1, 1], [1, 1]], "table has no identity element"),
+    ([[0, 1, 2], [1, 1, 1], [2, 1, 0]], "element 1 has no inverse"),
+], ids=["string-table", "flat-list", "string-row", "null", "string", "float", "bool",
+        "ragged", "not-square", "too-large", "negative", "empty", "no-identity", "no-inverse"])
+def test_malformed_table_rejected(table, message):
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        FiniteGroup(table)
 
 
 def test_group_ops():
@@ -125,6 +157,20 @@ def test_non_finite_bucket_matrix_rejected():
     with pytest.raises(StructureError, match=re.escape("bucket matrix (1, 'v', 'v')")):
         GaugeAction(FiniteGroup.cyclic(2), g, ({"v": "v"}, {"v": "v"}),
                     {(1, "v", "v"): np.array([[0.0, np.nan], [1.0, 0.0]])})
+
+
+@pytest.mark.parametrize("key, message", [
+    ((2, "v", "v"), "names no group element"),
+    ((-1, "v", "v"), "names no group element"),
+    ((1, "zz", "v"), "names no nonempty bucket"),
+    ((1, "w", "w"), "names no nonempty bucket"),
+], ids=["element-past-order", "negative-element", "unknown-vertex", "empty-bucket"])
+def test_bucket_matrix_key_must_name_an_element_and_a_bucket(key, message):
+    g = DirectedGraph(("v", "w"), (("e0", "v", "v"),))
+    perms = ({"v": "v", "w": "w"},) * 2
+    units = {(1, "v", "v"): np.eye(1), key: np.eye(1)}
+    with pytest.raises(StructureError, match=re.escape(f"bucket matrix {key} {message}")):
+        GaugeAction(FiniteGroup.cyclic(2), g, perms, units)
 
 
 # ---------------------------------------------------------------- edge unitaries

@@ -239,6 +239,43 @@ def test_rep_dimension_mismatch():
         parse_problem(text)
 
 
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1]], "multiplication table is not square"),
+    ([[0, 1], [1, 2]], "table entry out of range"),
+    ([[1, 1], [1, 1]], "table has no identity element"),
+    ([[0, 1, 2], [1, 1, 1], [2, 1, 0]], "element 1 has no inverse"),
+    ([[0.5]], "table entry [0][0] is not an integer"),
+], ids=["not-square", "out-of-range", "no-identity", "no-inverse", "float"])
+def test_group_table_errors_name_the_group(table, message):
+    text = json.dumps({"graph": {"vertices": ["v"], "edges": []},
+                       "action": {"group": {"table": table}, "vertex_perm": [{"v": "v"}]}})
+    with pytest.raises(ParseError, match=f"^{re.escape('action.group: ' + message)}$"):
+        parse_problem(text)
+
+
+def test_dim_zero_files_round_trip():
+    # a dim-0 operator is written as [] and read back as 0 x 0
+    empty = np.zeros((0, 0), dtype=complex)
+    a = z2_loop_swap()
+    reps = [GraphRep(cuntz_graph(1), 0, {"v": empty}, {"e0": empty}),
+            GraphRep(a.graph, 0, {"v": empty}, {"e0": empty, "e1": empty},
+                     action=a, unitaries={0: empty, 1: empty})]
+    for rep in reps:
+        text = problem_text(ProblemFile(rep.graph, rep.action, rep, Tolerance()))
+        pf = parse_problem(text)
+        assert problem_text(pf) == text
+        back = pf.representation
+        ops = [*back.proj.values(), *back.edge_op.values(), *(back.unitaries or {}).values()]
+        assert back.dim == 0 and all(M.shape == (0, 0) for M in ops)
+    assert '"unitaries": [[], []]' in text
+
+
+def test_empty_matrix_read_only_as_a_dim_zero_operator():
+    text = _one_loop_text("[0, 0]").replace('"proj": {"v": [[[1, 0]]]}', '"proj": {"v": []}')
+    with pytest.raises(ParseError, match=re.escape("representation.proj['v']: expected a nonempty")):
+        parse_problem(text)
+
+
 # ---------------------------------------------------------------- canonical form
 
 def test_canonical_text_sorted_and_17g():
