@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -103,14 +104,20 @@ def _render_text(report: Report) -> str:
     return "\n".join(lines)
 
 
+def _json_float(x) -> float | None:
+    """x as a JSON number; None (null) for a missing or non-finite value,
+    which JSON cannot hold."""
+    return None if x is None or not math.isfinite(x) else float(x)
+
+
 def _render_records(report: Report) -> str:
     rows = [{"record": "command", "text": report.command}]
     rows.extend(
         {
             "record": "check",
             "name": c.name,
-            "value": float(c.value),
-            "threshold": None if c.threshold is None else float(c.threshold),
+            "value": _json_float(c.value),
+            "threshold": _json_float(c.threshold),
             "passed": bool(c.passed),
         }
         for c in report.checks
@@ -121,17 +128,17 @@ def _render_records(report: Report) -> str:
             "index": i + 1,
             "kind": s.kind,
             "dim": s.new_dim,
-            "toeplitz": float(s.toeplitz),
-            "ck": float(s.ck),
-            "covariance": None if s.covariance is None else float(s.covariance),
-            "corner_toeplitz": float(s.corner_toeplitz),
-            "corner_ck": float(s.corner_ck),
+            "toeplitz": _json_float(s.toeplitz),
+            "ck": _json_float(s.ck),
+            "covariance": _json_float(s.covariance),
+            "corner_toeplitz": _json_float(s.corner_toeplitz),
+            "corner_ck": _json_float(s.corner_ck),
         }
         for i, s in enumerate(report.stages)
     )
     rows.extend({"record": "note", "text": n} for n in report.notes)
     rows.append({"record": "result", "exit_status": report.exit_status})
-    return "\n".join(json.dumps(r) for r in rows)
+    return "\n".join(json.dumps(r, allow_nan=False) for r in rows)
 
 
 def render(report: Report, fmt: str = "text") -> str:

@@ -6,6 +6,7 @@ machine-checkable corner guarantees.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -450,7 +451,52 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
                           _readonly(np.eye(current.dim, d, dtype=complex)), capped)
 
 
-def moment_signature(rep: GraphRep, seed: Subspace, max_len: int) -> dict:
+class _MomentTable(Mapping):
+    """The table of moment_signature, read from the Gram matrix G = Q* Q of
+    the word vectors Q = [t(w) h_0 ... t(w) h_{s-1}]_w: entry (wl, wr, a, b)
+    is G[row[wl] + a, row[wr] + b].  Read-only; a key that is not in the
+    table raises KeyError, and an index equal to a real one (1.0, True)
+    finds it, as in a dict."""
+
+    __slots__ = ("_words", "_s", "_gram", "_row", "_pos")
+
+    def __init__(self, words: list, s: int, gram: np.ndarray):
+        self._words, self._s, self._gram = words, s, _readonly(gram)
+        self._row = {w: i * s for i, w in enumerate(words)}
+        self._pos = {a: a for a in range(s)}
+
+    def __getitem__(self, key) -> complex:
+        try:
+            wl, wr, a, b = key
+            i, j = self._row[wl] + self._pos[a], self._row[wr] + self._pos[b]
+        except (TypeError, ValueError, KeyError):   # not a 4-tuple, or not an entry
+            raise KeyError(key) from None
+        return self._gram.item(i, j)
+
+    def __iter__(self):
+        return product(self._words, self._words, range(self._s), range(self._s))
+
+    def __len__(self) -> int:
+        return (len(self._words) * self._s) ** 2
+
+    def items(self) -> ItemsView:
+        return _MomentItems(self)
+
+
+class _MomentItems(ItemsView):
+    """A moment table's items, boxed one left word at a time from G's rows
+    (one tolist per block, not one lookup per entry), in the table's order."""
+
+    def __iter__(self):
+        t = self._mapping
+        n, s = len(t._words), t._s
+        G = t._gram.reshape(n, s, n, s)
+        for i, wl in enumerate(t._words):   # G[i][a, j, b] is entry (wl, words[j], a, b)
+            entries = G[i].transpose(1, 0, 2).ravel().tolist()
+            yield from zip(product((wl,), t._words, range(s), range(s)), entries)
+
+
+def moment_signature(rep: GraphRep, seed: Subspace, max_len: int) -> Mapping:
     """All inner products <t(e_1)...t(e_j) h_a, t(f_1)...t(f_k) h_b> for
     composable edge words of length <= max_len over the seed basis.
 
@@ -461,6 +507,11 @@ def moment_signature(rep: GraphRep, seed: Subspace, max_len: int) -> dict:
     coextensions of the same representation must produce identical tables,
     which is the computable surrogate for uniqueness up to unitary
     equivalence.
+
+    The table is a read-only Mapping over the Gram matrix of the word
+    vectors, not a dict; each entry is read from it when looked up.  The
+    table compares equal to the dict of the same entries, and dict(table)
+    is that dict.
     """
     if seed.ambient_dim != rep.dim:
         raise DimensionError("seed subspace does not live in the representation space")
@@ -480,8 +531,5 @@ def moment_signature(rep: GraphRep, seed: Subspace, max_len: int) -> dict:
     for w in sorted(words, key=len):
         if w and w not in vectors:
             vectors[w] = rep.edge_op[w[0]] @ vectors[w[1:]]
-    n, s = len(words), seed.dim
     Q = np.concatenate([vectors[w] for w in words], axis=1)
-    G = Q.conj().T @ Q
-    return dict(zip(product(words, words, range(s), range(s)),
-                    G.reshape(n, s, n, s).transpose(0, 2, 1, 3).ravel().tolist()))
+    return _MomentTable(words, seed.dim, Q.conj().T @ Q)

@@ -196,7 +196,8 @@ class RowContractionReport:
 
     @property
     def margin(self) -> float | None:
-        return max((c.margin for c in self.per_vertex), default=None)
+        # a nan vertex margin (an overflowed block) is the report's margin
+        return max((c.margin for c in self.per_vertex), key=lambda m: (np.isnan(m), m), default=None)
 
 
 def _edge_extents(rep: GraphRep) -> dict:
@@ -238,7 +239,9 @@ def _max_norm(rep: GraphRep, residuals, embed) -> float:
 
 def row_contraction_check(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> RowContractionReport:
     """Per vertex with a nonempty fiber, check that the block matrix of the
-    Toeplitz residuals over e, f in the fiber has no eigenvalue > eig_clip."""
+    Toeplitz residuals over e, f in the fiber has no eigenvalue > eig_clip.
+    A block with a non-finite entry (products of huge entries overflow) has
+    margin nan and fails."""
     results, extents = [], _edge_extents(rep)
     for v in rep.graph.vertices:
         fiber = [rep.graph.edge(e) for e in range_fiber(rep.graph, v)]
@@ -246,8 +249,12 @@ def row_contraction_check(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> RowCon
             continue
         block = np.block([[_toeplitz_residual(rep, e, f, extents) for f in fiber]
                           for e in fiber])
-        w = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-        margin = float(w.max()) if w.size else 0.0   # an empty block is the zero operator
+        H = 0.5 * (block + block.conj().T)
+        if not np.isfinite(H).all():
+            margin = float("nan")
+        else:
+            w = np.linalg.eigvalsh(H)
+            margin = float(w.max()) if w.size else 0.0   # an empty block is the zero operator
         results.append(VertexContraction(vertex=v, margin=margin, passed=margin <= tol.eig_clip))
     return RowContractionReport(tuple(results))
 

@@ -24,6 +24,7 @@ from corrdil import (
 )
 from corrdil.cli import main
 from helpers import LOOP5, cuntz_graph, random_cc_rep, rng_for, z2_loop_swap, zero_rep
+from test_io import CANONICAL_SAMPLE
 
 
 @pytest.fixture()
@@ -219,6 +220,24 @@ def test_dilate_rejects_expansive_rep(tmp_path, capsys):
     assert "pipeline not run" in out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy reports the overflow
+def test_overflowing_entries_fail_the_row_check(capsys):
+    # canonical_sample.json holds entries near 1e300, whose products overflow
+    path = str(CANONICAL_SAMPLE)
+    assert main(["validate", path]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^row-contraction\[v\] +nan +\S+ +FAIL$", out, re.M)
+    assert out.rstrip().endswith("result: FAIL (exit 1)")
+    assert main(["dilate", "--mode", "cp", path]) == 1
+    assert "input failed validation; pipeline not run" in capsys.readouterr().out
+    # records write the nan margin as null, next to passed: false
+    assert main(["validate", path, "--format", "records"]) == 1
+    rows = _records(capsys)
+    row = next(r for r in rows if r.get("name") == "row-contraction[v]")
+    assert row["value"] is None and row["passed"] is False
+    assert rows[-1] == {"record": "result", "exit_status": 1}
+
+
 def _covariant_file(tmp_path, scale: float) -> str:
     """A Z2-covariant induced representation of Cuntz-2, its edges scaled."""
     a = z2_loop_swap()
@@ -240,8 +259,14 @@ def test_dilate_gate_measures_no_defect_on_a_passing_file(tmp_path, capsys, monk
     assert "pipeline.converged" in capsys.readouterr().out
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _records(capsys) -> list:
-    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    # strict JSON: NaN and Infinity, which json.dumps writes by default, fail
+    return [json.loads(line, parse_constant=_no_constant)
+            for line in capsys.readouterr().out.splitlines()]
 
 
 @pytest.mark.parametrize("covariant", [False, True], ids=["loop", "covariant"])

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrdil.dilation
 import corrdil.linalg
@@ -53,7 +57,7 @@ from helpers import (
     z3_loop_rotation,
     zero_rep,
 )
-from test_representation import empty_rep, loop_rep, two_cycle_isometric
+from test_representation import empty_rep, loop_rep, traced_peak, two_cycle_isometric
 
 
 # ---------------------------------------------------------------- one_step_isometric
@@ -772,6 +776,82 @@ def test_moment_signature_permutation_invariance():
         assert set(t1) == set(t2)
         for key in t1:
             assert abs(t1[key] - t2[key]) <= 1e-8
+
+
+def reference_moments(rep: GraphRep, basis: np.ndarray, max_len: int) -> dict:
+    """The moment table as a dict, its words enumerated here: (e_1, ..., e_k)
+    composes when s(e_i) = r(e_{i+1}), and stands for t(e_1) ... t(e_k)."""
+    edges = {e.eid: e for e in rep.graph.edges}
+    words = sorted(w for k in range(max_len + 1) for w in product(edges, repeat=k)
+                   if all(edges[x].src == edges[y].dst for x, y in zip(w, w[1:])))
+    vectors = {}
+    for w in sorted(words, key=len):
+        vectors[w] = rep.edge_op[w[0]] @ vectors[w[1:]] if w else basis
+    s = basis.shape[1]
+    Q = np.concatenate([vectors[w] for w in words], axis=1)
+    G = Q.conj().T @ Q
+    for i, j in product(range(len(words) * s), repeat=2):
+        assert abs(G[i, j] - np.vdot(Q[:, i], Q[:, j])) <= 1e-12
+    return {(wl, wr, a, b): complex(G[i * s + a, j * s + b])
+            for i, wl in enumerate(words) for j, wr in enumerate(words)
+            for a in range(s) for b in range(s)}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), data=st.data())
+def test_moment_table_reads_as_its_dict(seed, dim, data):
+    rng = np.random.default_rng(seed)
+    rep = random_cc_rep(rng, random_graph(rng, max_v=3, max_e=4), dim)
+    s = data.draw(st.integers(0, dim), label="seed dim")
+    max_len = data.draw(st.integers(0, 3), label="max_len")
+    Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    basis = np.linalg.qr(Z)[0][:, :s]
+    table = moment_signature(rep, Subspace(dim, basis), max_len)
+    ref = reference_moments(rep, basis, max_len)
+
+    assert list(table) == list(ref) and len(table) == len(ref)
+    for key, val in ref.items():
+        assert key in table
+        assert type(table[key]) is complex and abs(table[key] - val) <= 1e-12
+    assert table == ref and ref == table and dict(table) == ref
+    # items are boxed a block at a time from G, each the entry a lookup reads
+    assert list(table.items()) == [(key, table[key]) for key in ref]
+    assert len(table.items()) == len(ref)
+    assert all((key, table[key]) in table.items() for key in list(ref)[:3])
+
+    edges = rep.graph.edges
+    stray = next(((e.eid, f.eid) for e in edges for f in edges if e.src != f.dst), None)
+    too_long = (edges[0].eid,) * (max_len + 1)
+    missing = [(("nope",), (), 0, 0), (too_long, (), 0, 0), ((), (), s, 0), ((), (), 0, -1),
+               ((), (), 0), ((), (), 0, 0, 0), 7]
+    if stray is not None and max_len >= 2:
+        missing.append(((), stray, 0, 0))
+    for key in missing:
+        assert key not in table
+        with pytest.raises(KeyError):
+            table[key]
+    if s:
+        assert table[((), (), 0.0, False)] == table[((), (), 0, 0)]
+        assert table != {**ref, ((), (), 0, 0): ref[((), (), 0, 0)] + 1}
+    if s > 1:
+        assert table[((), (), True, 1.0)] == table[((), (), 1, 1)]
+    with pytest.raises(TypeError):
+        table[((), (), 0, 0)] = 0j
+    with pytest.raises(ValueError):
+        table._gram[...] = 0
+
+
+def test_moment_table_peak_stays_near_its_gram():
+    # the table reads its entries from the Gram matrix, so its peak is a few
+    # Gram matrices (vectors, Q, Q*, G); a dict of boxed entries is over 12
+    rep = random_cc_rep(rng_for(1450), cuntz_graph(4), 3)
+    report = iterate_coextension(rep, 3)
+    final = report.final_rep
+    tables = []
+    peak = traced_peak(lambda: tables.append(
+        moment_signature(final, Subspace(final.dim, report.embed), max_len=3)))
+    assert len(tables[0]) == 255 ** 2 == final.dim ** 2
+    assert peak < 6 * 255 ** 2 * 16
 
 
 # ---------------------------------------------------------------- one row decision per input

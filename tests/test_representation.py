@@ -184,6 +184,28 @@ def test_row_contraction_zero_rep():
     assert row_contraction_check(zero_rep(cuntz_graph(2), 2)).passed
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy reports the overflow
+def test_row_contraction_fails_an_overflowing_fiber():
+    # t(big)* t(big) overflows: that fiber's margin is nan and fails, with no
+    # eigensolver run on it; the other fiber is still measured
+    g = DirectedGraph(("v", "w"), (("big", "v", "v"), ("l", "w", "w")))
+    P, Q = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    rep = GraphRep(g, 2, {"v": P, "w": Q}, {"big": 1e300 * P, "l": 0.5 * Q})
+    report = row_contraction_check(rep)
+    assert [c.vertex for c in report.per_vertex] == ["v", "w"]
+    v, w = report.per_vertex
+    assert np.isnan(v.margin) and not v.passed
+    assert w.passed and w.margin == 0.0   # the residual is -0.75 on w's range, 0 off it
+    assert not report.passed
+    assert np.isnan(report.margin)
+    # the report's margin is nan whichever vertex overflows, first or last
+    g = DirectedGraph(("w", "v"), (("l", "w", "w"), ("big", "v", "v")))
+    report = row_contraction_check(GraphRep(g, 2, rep.proj, rep.edge_op))
+    assert [c.vertex for c in report.per_vertex] == ["w", "v"]
+    assert report.per_vertex[0].margin == 0.0 and np.isnan(report.per_vertex[1].margin)
+    assert np.isnan(report.margin) and not report.passed
+
+
 def empty_rep() -> GraphRep:
     # dimension 0 over a loop and a second edge: every fiber block is empty
     g = DirectedGraph(("v", "w"), (("l", "v", "v"), ("e", "w", "v")))
