@@ -260,7 +260,7 @@ def cmd_dilate(args) -> Report:
 
     if args.mode == "isometric":
         pipe = iterate_coextension(rep, n_steps=args.steps, tol=tol)
-        report.checks.append(_flag("pipeline.converged", pipe.converged or pipe.capped))
+        report.checks.append(_flag("pipeline.converged", pipe.converged))
     elif args.mode == "ck":
         pipe = iterate_ck(rep, n_steps=args.steps, tol=tol)
         last = pipe.steps[-1].corner_ck if pipe.steps else ck_defect(rep)

@@ -24,15 +24,17 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _SUPPORT_MIN,
     _eigen_factor,
+    _extent,
     _frozen,
+    _lead_product,
     _norm_within,
     _readonly,
     orthonormal_closure,
 )
 from .representation import (
     GraphRep,
-    _ck_residuals,
     _corner_defects,
     ck_defect,
     covariance_defect,
@@ -262,7 +264,9 @@ def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
     """One Cuntz-Krieger dilation step, sized by the ranges of the defects.
 
     For each finite receiver v the defect proj(v) - sum_e t(e)t(e)* is
-    compressed to H_v = range(proj(v)), where it is supported, and factored;
+    formed here from dense products (the stage measurement forms it on the
+    operators' extents, whose sums round differently), compressed to
+    H_v = range(proj(v)), where it is supported, and factored;
     the factor's eigenvalues carry the step's one precondition (Hermitian
     within eps, no eigenvalue below -eig_clip; PositivityError otherwise).
     It runs no row check, which is decided once where its input enters a
@@ -281,7 +285,10 @@ def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
     graph = rep.graph
     basis = _vertex_basis(rep)
     K, col = {}, {}
-    for v, defect in zip(finite_receivers(graph), _ck_residuals(rep)):
+    for v in finite_receivers(graph):
+        defect = rep.proj[v].copy()
+        for e in range_fiber(graph, v):
+            defect -= rep.edge_op[e] @ rep.edge_op[e].conj().T
         A = basis[v].conj().T @ defect @ basis[v]
         w, s, V = _eigen_factor(A, tol.eig_clip)
         if w.min(initial=0.0) < -tol.eig_clip or not _norm_within(A - A.conj().T, tol.eps):
@@ -512,6 +519,12 @@ def moment_signature(rep: GraphRep, seed: Subspace, max_len: int) -> Mapping:
     vectors, not a dict; each entry is read from it when looked up.  The
     table compares equal to the dict of the same entries, and dict(table)
     is that dict.
+
+    Above _SUPPORT_MIN dimensions each word vector t(e) x is the product
+    of t(e)'s leading block on its extent with the rows of x that can be
+    nonzero (_lead_product): the seed's up to its last nonzero row, a
+    product's up to t(e)'s row extent.  Every other row stays an exact
+    zero, and the dense products would sum the same terms plus exact zeros.
     """
     if seed.ambient_dim != rep.dim:
         raise DimensionError("seed subspace does not live in the representation space")
@@ -527,9 +540,14 @@ def moment_signature(rep: GraphRep, seed: Subspace, max_len: int) -> Mapping:
         words.extend(nxt)
         frontier = nxt
     words.sort()
-    vectors = {(): seed.basis}
+    extents = {e.eid: _extent(rep.edge_op[e.eid]) for e in rep.graph.edges}
+    nonzero = np.flatnonzero(seed.basis.any(axis=1))
+    rows = int(nonzero[-1]) + 1 if rep.dim > _SUPPORT_MIN and nonzero.size else rep.dim
+    vectors = {(): (seed.basis, (rows, seed.dim))}   # word -> (vector, its extent)
     for w in sorted(words, key=len):
         if w and w not in vectors:
-            vectors[w] = rep.edge_op[w[0]] @ vectors[w[1:]]
-    Q = np.concatenate([vectors[w] for w in words], axis=1)
+            T, (x, b) = rep.edge_op[w[0]], vectors[w[1:]]
+            a = extents[w[0]]
+            vectors[w] = (_lead_product(T, a, x, b), (a[0], b[1]))
+    Q = np.concatenate([vectors[w][0] for w in words], axis=1)
     return _MomentTable(words, seed.dim, Q.conj().T @ Q)

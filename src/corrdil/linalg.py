@@ -159,8 +159,10 @@ _SUPPORT_MIN = 32
 
 def _stacks(residuals):
     """The residual matrices in order, packed into (m, rows, cols) complex
-    stacks of one shape and at most _STACK_BYTES each (a larger residual
-    is a stack of its own)."""
+    stacks of one shape and at most _STACK_BYTES each.  A residual that
+    fills a stack on its own (over half the budget) is yielded as a
+    (1, rows, cols) view of itself, not copied; the stacks are read, never
+    written."""
     S, m = None, 0
     for R in residuals:
         if S is not None and (m == len(S) or R.shape != S.shape[1:]):
@@ -168,11 +170,24 @@ def _stacks(residuals):
             S = None
         if S is None:
             cap = max(1, _STACK_BYTES // (16 * max(R.size, 1)))
+            if cap == 1:
+                yield np.asarray(R, dtype=complex)[None]
+                continue
             S, m = np.empty((cap, *R.shape), dtype=complex), 0
         S[m] = R
         m += 1
     if S is not None:
         yield S[:m]
+
+
+def _slack(rows: int, cols: int) -> float:
+    """The relative margin by which a squared Frobenius norm, summed by
+    columns and then over them, of a matrix within rows x cols must fall
+    below a squared bound before the bound settles its operator norm.  The
+    sums of squares round within (rows + cols + 2) ulps of exact, which
+    leaves over (rows + cols) ulps of the norm for an SVD's rounding of the
+    top singular value (a small multiple of eps times itself)."""
+    return 4 * (rows + cols) * np.finfo(float).eps
 
 
 def _stack_max(S: np.ndarray, floor: float) -> float:
@@ -192,7 +207,7 @@ def _stack_max(S: np.ndarray, floor: float) -> float:
         col2 = (S.real ** 2 + S.imag ** 2).sum(axis=1)
         fro2 = col2.sum(axis=1)
         best2 = max(floor * floor, float(col2.max()))
-    slack = 4 * (S.shape[1] + S.shape[2]) * np.finfo(float).eps
+    slack = _slack(*S.shape[1:])
     # "not below", so that a NaN bound stays a candidate: its SVD raises
     # LinAlgError, as op_norm does, instead of the residual dropping out
     cand = ~(fro2 < best2 * (1.0 - slack))
@@ -230,7 +245,10 @@ def _support_norms(C: np.ndarray) -> np.ndarray:
     equivalent to blockdiag(coupled, diag(R_jj over decoupled j), 0).  So
     ||R|| is the larger of the coupled block's top singular value and the
     largest decoupled |R_jj|: each an exact SVD or an exact entry.  Blocks
-    of one shape share one batched SVD."""
+    of one shape share one batched SVD.  A block whose Frobenius norm (an
+    upper bound of its top singular value) falls below the largest
+    decoupled |R_jj| by _slack, as in _stack_max, cannot change ||R||, so it
+    takes no SVD: the value is that entry, as the SVD would have left it."""
     p = min(C.shape[1:])
     nz = C != 0   # exact zeros; squared sums would underflow
     rows, cols = nz.sum(axis=2), nz.sum(axis=1)
@@ -243,11 +261,14 @@ def _support_norms(C: np.ndarray) -> np.ndarray:
     if keep_rows.all() and keep_cols.all():   # dense: the coupled block is R
         return np.linalg.svd(C, compute_uv=False)[:, 0]
     norms = np.where(decoupled, np.abs(C[:, diag, diag]), 0.0).max(axis=1, initial=0.0)
+    settled = norms * norms * (1.0 - _slack(*C.shape[1:]))
     blocks = {}   # coupled block shape -> [(stack index, block)]
     for i, (r, c) in enumerate(zip(keep_rows, keep_cols)):
         r, c = np.flatnonzero(r), np.flatnonzero(c)
         if r.size:   # a kept row has its nonzero entries in kept columns
-            blocks.setdefault((r.size, c.size), []).append((i, C[i][np.ix_(r, c)]))
+            B = C[i][np.ix_(r, c)]
+            if (B.real ** 2 + B.imag ** 2).sum(axis=0).sum() >= settled[i]:
+                blocks.setdefault((r.size, c.size), []).append((i, B))
     for members in blocks.values():
         at = [i for i, _ in members]
         top = np.linalg.svd(np.stack([B for _, B in members]), compute_uv=False)[:, 0]

@@ -212,19 +212,26 @@ def _toeplitz_residual(rep: GraphRep, e, f, extents: dict) -> np.ndarray:
     return R - rep.proj[e.src] if e.eid == f.eid else R
 
 
-def _ck_residuals(rep: GraphRep):
-    """proj(v) - sum_{r(e)=v} t(e) t(e)* for each finite receiver v, in order."""
+def _ck_residuals(rep: GraphRep, extents: dict):
+    """proj(v) - sum_{r(e)=v} t(e) t(e)* for each finite receiver v, in
+    order, each t(e) t(e)* the product of t(e)'s leading block on its
+    extent (r, c): T[:r, :c] T[:r, :c]*, zero outside the leading r x r
+    block.  These residuals are measured, not factored: one_step_ck forms
+    its own dense defect, so what a step builds does not depend on the
+    order in which these products sum."""
     for v in finite_receivers(rep.graph):
         R = rep.proj[v].copy()
         for e in range_fiber(rep.graph, v):
-            R -= rep.edge_op[e] @ rep.edge_op[e].conj().T
+            r, c = extents[e]
+            lead = rep.edge_op[e][:r, :c]
+            R[:r, :r] -= lead @ lead.conj().T
         yield R
 
 
-def _toeplitz_residuals(rep: GraphRep):
+def _toeplitz_residuals(rep: GraphRep, extents: dict):
     """The Toeplitz residual of each edge pair e <= f in edge order, e-major:
     (f, e) gives the adjoint, with the same norm on every leading block."""
-    edges, extents = rep.graph.edges, _edge_extents(rep)
+    edges = rep.graph.edges
     return (_toeplitz_residual(rep, e, f, extents)
             for i, e in enumerate(edges) for f in edges[i:])
 
@@ -265,7 +272,7 @@ def toeplitz_defect(rep: GraphRep, embed=None) -> float:
     With an isometry embed into rep's space each residual R is compressed
     to embed* R embed, the defect on embed's range.
     """
-    return _max_norm(rep, _toeplitz_residuals(rep), embed)
+    return _max_norm(rep, _toeplitz_residuals(rep, _edge_extents(rep)), embed)
 
 
 def ck_defect(rep: GraphRep, embed=None) -> float:
@@ -274,16 +281,17 @@ def ck_defect(rep: GraphRep, embed=None) -> float:
 
     Vertices outside the finite receivers impose no condition.
     """
-    return _max_norm(rep, _ck_residuals(rep), embed)
+    return _max_norm(rep, _ck_residuals(rep, _edge_extents(rep)), embed)
 
 
 def _corner_defects(rep: GraphRep, sizes) -> dict:
     """{k: [toeplitz, ck]} on the leading k coordinates for each k in sizes,
     all read from one pass over the residuals: E* R E is R[:k, :k] exactly
-    for E = np.eye(rep.dim, k), and k = rep.dim gives the full defects."""
-    sizes = list(sizes)
-    toeplitz = _max_op_norms(_toeplitz_residuals(rep), sizes)
-    ck = _max_op_norms(_ck_residuals(rep), sizes)
+    for E = np.eye(rep.dim, k), and k = rep.dim gives the full defects.
+    Both kinds of residual are formed on the edge extents found here once."""
+    sizes, extents = list(sizes), _edge_extents(rep)
+    toeplitz = _max_op_norms(_toeplitz_residuals(rep, extents), sizes)
+    ck = _max_op_norms(_ck_residuals(rep, extents), sizes)
     return {k: [t, c] for k, t, c in zip(sizes, toeplitz, ck)}
 
 

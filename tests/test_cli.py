@@ -146,6 +146,22 @@ def test_dilate_capped(tmp_path, capsys):
     assert "CAPPED" in out
 
 
+@pytest.mark.parametrize("mode", ["isometric", "cp"])
+def test_dilate_capped_run_has_not_converged(tmp_path, capsys, mode):
+    # a run cut short by the cap reports pipeline.converged as failed in
+    # both modes, and exits 3
+    rep = zero_rep(cuntz_graph(3), 4)
+    path = tmp_path / "big.json"
+    save_problem(ProblemFile(rep.graph, None, rep, Tolerance()), path)
+    argv = ["dilate", "--mode", mode, "--steps", "3", str(path), "--max-dim", "24",
+            "--format", "records"]
+    assert main(argv) == 3
+    rows = _records(capsys)
+    flag = [r for r in rows if r["record"] == "check" and r["name"] == "pipeline.converged"]
+    assert len(flag) == 1 and flag[0]["passed"] is False and flag[0]["value"] == 0.0
+    assert rows[-1] == {"record": "result", "exit_status": 3}
+
+
 def test_dilate_ck_two_steps_records(cuntz2_zero_file, capsys):
     argv = ["dilate", "--mode", "ck", "--steps", "2", "--format", "records", cuntz2_zero_file]
     assert main(argv) == 0

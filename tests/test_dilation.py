@@ -841,6 +841,29 @@ def test_moment_table_reads_as_its_dict(seed, dim, data):
         table._gram[...] = 0
 
 
+@pytest.mark.parametrize("seed_rows", [None, 5], ids=["embed", "leading-rows"])
+@pytest.mark.parametrize("graph, dim", [(cuntz_graph(2), 4), (cycle_graph(2), 12)],
+                         ids=["cuntz2", "cycle2"])
+def test_moment_words_on_extents_match_dense_products(graph, dim, seed_rows):
+    # past _SUPPORT_MIN each word vector is taken on its rows' and t(e)'s
+    # extents (on the 2-cycle the edges' column extents differ); the table
+    # equals the Gram matrix of dense word products
+    rep = random_cc_rep(rng_for(1455), graph, dim)
+    report = iterate_coextension(rep, 3)
+    final = report.final_rep
+    assert final.dim > corrdil.linalg._SUPPORT_MIN
+    assert all(corrdil.linalg._extent(T)[1] < final.dim for T in final.edge_op.values())
+    basis = report.embed
+    if seed_rows is not None:   # a seed inside the leading rows, not on coordinates
+        Z = rng_for(1456).standard_normal((seed_rows, 3))
+        basis = np.zeros((final.dim, 3), dtype=complex)
+        basis[:seed_rows] = np.linalg.qr(Z)[0]
+    table = moment_signature(final, Subspace(final.dim, basis), max_len=3)
+    ref = reference_moments(final, basis, 3)
+    assert list(table) == list(ref)
+    assert all(abs(table[key] - val) <= 1e-13 for key, val in ref.items())
+
+
 def test_moment_table_peak_stays_near_its_gram():
     # the table reads its entries from the Gram matrix, so its peak is a few
     # Gram matrices (vectors, Q, Q*, G); a dict of boxed entries is over 12

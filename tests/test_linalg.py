@@ -457,6 +457,84 @@ def test_support_norm_decides_rectangular_bounds(shape):
         assert op_norm(X) == pytest.approx(s, rel=1e-12)
 
 
+@pytest.fixture()
+def svd_shapes(monkeypatch):
+    """The shapes of the matrices np.linalg.svd is asked for, in order."""
+    shapes, real = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.extend([np.shape(a)[-2:]] * int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+def settled_case(rng, n: int, case: str):
+    """(R, B, dmax): R = blockdiag(B, diag(d), 0) of size n, B a dense
+    6 x 6 block, max|d| = dmax = 1.  'below': ||B||_F just below
+    dmax (B of rank one, so sigma_1(B) is just below too); 'within':
+    ||B||_F below dmax by less than the slack; 'above': ||B||_F just above
+    dmax; in both sigma_1(B) = ||B||_F / sqrt(6) is below dmax; 'wins':
+    sigma_1(B) above dmax."""
+    if case == "below":
+        x, y = random_block(rng, 6, 1), random_block(rng, 6, 1)
+        B = x @ y.conj().T
+        B *= (1 - 1e-12) / np.linalg.norm(B)
+    elif case in ("within", "above"):
+        U = np.linalg.qr(random_block(rng, 6, 6))[0]
+        B = U * ((1 - 1e-14 if case == "within" else 1 + 1e-12) / np.sqrt(6))
+    else:
+        B = random_block(rng, 6, 6)
+        B *= 1.5 / svd_norm(B)
+    d = np.exp(1j * rng.uniform(0, 2 * np.pi, 10)) * np.linspace(0.1, 1.0, 10)
+    R = np.zeros((n, n), dtype=complex)
+    R[:6, :6] = B
+    R[range(6, 16), range(6, 16)] = d
+    return R, B, 1.0
+
+
+@pytest.mark.parametrize("case", ["below", "within", "above", "wins"])
+def test_support_norm_settles_a_block_below_the_diagonal(svd_shapes, case):
+    # the coupled block takes an SVD only when its Frobenius norm can reach
+    # the largest decoupled |R_jj|; the value is max(max|d|, sigma_1(B))
+    # either way, bit for bit
+    rng = rng_for(1397)
+    n = linalg._SUPPORT_MIN + 8
+    R, B, dmax = settled_case(rng, n, case)
+    assert (np.linalg.norm(B) < dmax) == (case in ("below", "within"))
+    top = svd_norm(B)
+    assert (top > dmax) == (case == "wins")
+    svd_shapes.clear()
+    got = op_norm(R)
+    assert got == max(dmax, top) == (top if case == "wins" else dmax)
+    assert svd_shapes == ([] if case == "below" else [B.shape])
+
+
+def test_support_norm_settles_blocks_one_matrix_at_a_time(svd_shapes):
+    # in one stack each matrix is settled by its own diagonal alone
+    rng = rng_for(1398)
+    n = linalg._SUPPORT_MIN + 8
+    cases = [settled_case(rng, n, case) for case in ("below", "above", "wins", "within")]
+    want = [max(dmax, svd_norm(B)) for _, B, dmax in cases]
+    svd_shapes.clear()
+    assert linalg._exact_norms(np.stack([R for R, _, _ in cases])).tolist() == want
+    assert svd_shapes == [(6, 6)] * 3
+
+
+def test_a_residual_that_fills_a_stack_is_not_copied():
+    rng = rng_for(1399)
+    lone = int(np.sqrt(linalg._STACK_BYTES / 32)) + 1   # two of these exceed the budget
+    small, big = random_block(rng, 5, 5), random_block(rng, lone, lone)
+    twin = random_block(rng, lone - 1, lone - 1)
+    stacks = list(linalg._stacks([small, big, big, twin, twin, small]))
+    assert [S.shape for S in stacks] == [(1, 5, 5), (1, lone, lone), (1, lone, lone),
+                                         (2, lone - 1, lone - 1), (1, 5, 5)]
+    assert all(np.shares_memory(S, big) for S in stacks[1:3])
+    assert not np.shares_memory(stacks[3], twin)
+    assert _max_op_norms([small, big, twin]) == [max(map(op_norm, (small, big, twin)))]
+
+
 def test_support_norm_keeps_the_non_finite_verdicts():
     # above _SUPPORT_MIN a NaN still raises, an inf entry still gives NaN,
     # and a finite entry whose square overflows is still normed exactly

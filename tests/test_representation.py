@@ -22,6 +22,7 @@ from corrdil import (
     delta_edge,
     induced_regular_rep,
     iterate_coextension,
+    one_step_ck,
     one_step_isometric,
     op_norm,
     row_contraction_check,
@@ -401,6 +402,29 @@ def test_defects_above_the_support_threshold_match_dense_products():
         for g in range(2))
     covariance = max(covariance, max(op_norm(U[g] @ P - P @ U[g]) for g in range(2)))
     assert covariance_defect(out) == pytest.approx(covariance, rel=1e-9, abs=1e-14)
+
+
+@pytest.mark.parametrize("graph", [cuntz_graph(2), cycle_graph(3)], ids=["cuntz2", "cycle3"])
+@pytest.mark.parametrize("step", [one_step_ck, one_step_isometric], ids=["ck", "isometric"])
+def test_ck_residuals_on_extents_match_dense_products(step, graph):
+    # past _SUPPORT_MIN a CK step's output has edge operators zero below its
+    # input's rows, an isometric step's zero right of its input's columns;
+    # the Cuntz-Krieger defects taken on those extents equal the dense
+    # residuals' norms, in full and on every corner
+    rep = random_cc_rep(rng_for(1440), graph, 24)
+    out = step(rep).rep_after
+    assert out.dim > _SUPPORT_MIN
+    T, P = out.edge_op, out.proj
+    axis = 0 if step is one_step_ck else 1
+    assert all(_extent(T[e])[axis] <= rep.dim < out.dim for e in T)
+    residuals = [P[v] - sum(T[e.eid] @ T[e.eid].conj().T for e in graph.edges if e.dst == v)
+                 for v in graph.vertices]
+    sizes = [out.dim, rep.dim, 5]
+    corners = _corner_defects(out, sizes)
+    for k in sizes:
+        want = max(op_norm(R[:k, :k]) for R in residuals)
+        assert corners[k][1] == pytest.approx(want, rel=1e-12, abs=1e-14)
+    assert ck_defect(out) == pytest.approx(max(map(op_norm, residuals)), rel=1e-12, abs=1e-14)
 
 
 # ---------------------------------------------------------------- stored data is read-only
