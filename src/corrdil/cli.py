@@ -284,6 +284,7 @@ def cmd_induce(args) -> Report:
     rep = pf.representation
     report = Report(command=f"induce {args.file}")
 
+    tol.check_dim(pf.action.group.order * rep.dim)
     ind = induced_regular_rep(rep, pf.action)
     report.checks.append(_info("induced.dim", ind.dim))
     cov = covariance_defect(ind)

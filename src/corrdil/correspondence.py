@@ -44,27 +44,13 @@ class CoeffElement:
     def __call__(self, v: str) -> complex:
         return self.coeffs.get(v, 0j)
 
-    def __add__(self, other: "CoeffElement") -> "CoeffElement":
+    def __mul__(self, other: "CoeffElement") -> "CoeffElement":
+        # the pointwise product of C = functions on V
         _same_graph(self, other)
-        out = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            out[v] = out.get(v, 0j) + c
-        return CoeffElement(self.graph, out)
-
-    def __sub__(self, other: "CoeffElement") -> "CoeffElement":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        # scalar multiple, or the pointwise product of C = functions on V
-        if isinstance(other, CoeffElement):
-            _same_graph(self, other)
-            return CoeffElement(
-                self.graph,
-                {v: c * other.coeffs[v] for v, c in self.coeffs.items() if v in other.coeffs},
-            )
-        return CoeffElement(self.graph, {v: c * other for v, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
+        return CoeffElement(
+            self.graph,
+            {v: c * other.coeffs[v] for v, c in self.coeffs.items() if v in other.coeffs},
+        )
 
     def star(self) -> "CoeffElement":
         return CoeffElement(self.graph, {v: c.conjugate() for v, c in self.coeffs.items()})
@@ -92,14 +78,6 @@ class CorrElement:
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0j) + c
         return CorrElement(self.graph, out)
-
-    def __sub__(self, other: "CorrElement") -> "CorrElement":
-        return self + (-1) * other
-
-    def __mul__(self, scalar) -> "CorrElement":
-        return CorrElement(self.graph, {e: c * scalar for e, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
 
 
 def delta_vertex(g: DirectedGraph, v: str, scale: complex = 1.0) -> CoeffElement:

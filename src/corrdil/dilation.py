@@ -6,7 +6,7 @@ machine-checkable corner guarantees.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -463,7 +463,8 @@ class _MomentTable(Mapping):
     the word vectors Q = [t(w) h_0 ... t(w) h_{s-1}]_w: entry (wl, wr, a, b)
     is G[row[wl] + a, row[wr] + b].  Read-only; a key that is not in the
     table raises KeyError, and an index equal to a real one (1.0, True)
-    finds it, as in a dict."""
+    finds it, as in a dict.  items(), values() and == are Mapping's, one
+    lookup per entry."""
 
     __slots__ = ("_words", "_s", "_gram", "_row", "_pos")
 
@@ -485,22 +486,6 @@ class _MomentTable(Mapping):
 
     def __len__(self) -> int:
         return (len(self._words) * self._s) ** 2
-
-    def items(self) -> ItemsView:
-        return _MomentItems(self)
-
-
-class _MomentItems(ItemsView):
-    """A moment table's items, boxed one left word at a time from G's rows
-    (one tolist per block, not one lookup per entry), in the table's order."""
-
-    def __iter__(self):
-        t = self._mapping
-        n, s = len(t._words), t._s
-        G = t._gram.reshape(n, s, n, s)
-        for i, wl in enumerate(t._words):   # G[i][a, j, b] is entry (wl, words[j], a, b)
-            entries = G[i].transpose(1, 0, 2).ravel().tolist()
-            yield from zip(product((wl,), t._words, range(s), range(s)), entries)
 
 
 def moment_signature(rep: GraphRep, seed: Subspace, max_len: int) -> Mapping:

@@ -208,14 +208,13 @@ def trivial_action(graph: DirectedGraph) -> GaugeAction:
 
 
 def verify_action(a: GaugeAction, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
-    """Check unitarity, the homomorphism identities, and the identity element."""
+    """Check unitarity, the homomorphism identities, and the identity's bucket
+    matrices; the vertex homomorphism at (e, e) forces the bijection pi_e = id."""
     group_ok = verify_group(a.group)
     if not group_ok:
         return CheckResult(False, f"group: {group_ok.reason}")
     g_ids = range(a.group.order)
     e = a.group.identity
-    if any(a.vertex_perm[e][v] != v for v in a.graph.vertices):
-        return CheckResult(False, "identity element moves a vertex")
     for (v, w), bucket in a.graph._bucket.items():
         n = len(bucket)
         for gi in g_ids:

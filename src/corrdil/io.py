@@ -229,6 +229,10 @@ def _graph_from_json(obj, path: str) -> DirectedGraph:
     truncated = obj.get("truncated", [])
     if not isinstance(truncated, list):
         raise ParseError(f"{path}.truncated: expected an array")
+    for key, ids in (("vertices", vertices), ("truncated", truncated)):
+        for i, v in enumerate(ids):
+            if not isinstance(v, str):
+                raise ParseError(f"{path}.{key}[{i}]: expected a string")
     try:
         return DirectedGraph(tuple(vertices), tuple(edges), frozenset(truncated))
     except CorrdilError as exc:
@@ -253,8 +257,11 @@ def _action_from_json(obj, graph: DirectedGraph, path: str) -> GaugeAction:
             raise ParseError(
                 f"{path}.vertex_perm[{i}]: expected a bijection of the graph's vertices"
             )
+    entries = obj.get("bucket_unitaries", [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}.bucket_unitaries: expected an array")
     units = {}
-    for i, entry in enumerate(obj.get("bucket_unitaries", [])):
+    for i, entry in enumerate(entries):
         where = f"{path}.bucket_unitaries[{i}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: expected an object")

@@ -23,7 +23,15 @@ from corrdil import (
     trivial_action,
 )
 from corrdil.cli import main
-from helpers import LOOP5, cuntz_graph, random_cc_rep, rng_for, z2_loop_swap, zero_rep
+from helpers import (
+    LOOP5,
+    cuntz_graph,
+    random_cc_rep,
+    rng_for,
+    z2_loop_swap,
+    z3_loop_rotation,
+    zero_rep,
+)
 from test_io import CANONICAL_SAMPLE
 
 
@@ -345,6 +353,41 @@ def test_induce_requires_action(cuntz2_zero_file, capsys):
     assert "action" in capsys.readouterr().err
 
 
+def test_induce_requires_representation(tmp_path, capsys):
+    a = z2_loop_swap()
+    path = tmp_path / "graph-and-action.json"
+    save_problem(ProblemFile(a.graph, a, None, Tolerance()), path)
+    assert main(["induce", str(path)]) == 2
+    assert capsys.readouterr().err == "error: top level: induce requires a representation block\n"
+
+
+def _z3_rotation_file(tmp_path) -> str:
+    a = z3_loop_rotation()
+    rep = random_cc_rep(rng_for(961), a.graph, dim=2)
+    path = tmp_path / "z3.json"
+    save_problem(ProblemFile(a.graph, a, rep, Tolerance()), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("source, induced_dim, code", [
+    (_z3_rotation_file, 6, 0),
+    # the sample's entries near 1e300 give a covariance defect near 1e284
+    (lambda tmp_path: str(CANONICAL_SAMPLE), 8, 1),
+], ids=["z3-dim2", "canonical-sample"])
+def test_induce_checks_the_dimension_cap(tmp_path, capsys, source, induced_dim, code):
+    path, out_path = source(tmp_path), tmp_path / "induced.json"
+    argv = ["induce", path, "--out", str(out_path)]
+    assert main(argv + ["--max-dim", str(induced_dim - 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: dimension {induced_dim} exceeds the configured cap"
+                            f" {induced_dim - 1}\n")
+    assert not out_path.exists()
+
+    assert main(argv + ["--max-dim", str(induced_dim)]) == code
+    assert load_problem(out_path).representation.dim == induced_dim
+
+
 # ---------------------------------------------------------------- counterexample
 
 def test_counterexample_default(capsys):
@@ -595,3 +638,68 @@ def test_dim_zero_file_validates_and_dilates(tmp_path, capsys):
     assert load_problem(out_path).representation.dim == 0
     assert main(["validate", str(out_path)]) == 0
     assert "result: PASS (exit 0)" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- input errors
+
+def _one_loop_z2() -> dict:
+    one = [[[1, 0]]]
+    return {
+        "graph": {"vertices": ["v"], "edges": [["e0", "v", "v"]], "truncated": []},
+        "action": {"group": {"table": [[0, 1], [1, 0]]}, "vertex_perm": [{"v": "v"}] * 2,
+                   "bucket_unitaries": [{"element": 1, "range": "v", "source": "v",
+                                         "matrix": one}]},
+        "representation": {"dim": 1, "proj": {"v": one}, "edge_op": {"e0": [[[0, 0]]]},
+                           "unitaries": [one, one]},
+        "tolerance": {"eps": 1e-8},
+    }
+
+
+def _set(path: tuple, value):
+    def mutate(obj):
+        *outer, last = path
+        for key in outer:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (None, "top level: expected an object"),
+    (_set(("graph", "truncated"), "v"), "graph.truncated: expected an array"),
+    # str() would have read null as vertex "None" and rewritten the file
+    (_set(("graph", "vertices"), [None]), "graph.vertices[0]: expected a string"),
+    (_set(("graph", "vertices"), [True]), "graph.vertices[0]: expected a string"),
+    (_set(("graph", "vertices"), [["v"]]), "graph.vertices[0]: expected a string"),
+    (_set(("graph", "vertices"), ["v", 1]), "graph.vertices[1]: expected a string"),
+    (_set(("graph", "truncated"), [None]), "graph.truncated[0]: expected a string"),
+    (_set(("graph", "truncated"), ["v", False]), "graph.truncated[1]: expected a string"),
+    (_set(("graph", "truncated"), [["v"]]), "graph.truncated[0]: expected a string"),
+    (_set(("action", "vertex_perm"), [{"v": "v"}]), "action.vertex_perm: expected 2 entries"),
+    (_set(("action", "vertex_perm", 1), ["v"]), "action.vertex_perm[1]: expected an object"),
+    (_set(("action", "bucket_unitaries", 0), [1, "v", "v"]),
+     "action.bucket_unitaries[0]: expected an object"),
+    (_set(("action", "bucket_unitaries"), None), "action.bucket_unitaries: expected an array"),
+    (_set(("action", "bucket_unitaries"), 5), "action.bucket_unitaries: expected an array"),
+    (_set(("action", "bucket_unitaries"), {"0": {}}),
+     "action.bucket_unitaries: expected an array"),
+    (_set(("representation", "unitaries"), {"0": [[[1, 0]]]}),
+     "representation.unitaries: expected an array"),
+    (_set(("tolerance",), [1e-8]), "tolerance: expected an object"),
+    (_set(("tolerance", "eps"), 10**400), "tolerance.eps: expected a finite number"),
+    (_set(("tolerance", "eps"), -1), "tolerance: eps must be finite and positive"),
+], ids=["top-level", "truncated", "vertex-null", "vertex-true", "vertex-list", "vertex-number",
+        "truncated-null", "truncated-false", "truncated-list", "perm-count", "perm-entry",
+        "bucket-entry", "buckets-null", "buckets-number", "buckets-object", "unitaries",
+        "tolerance", "eps-overflow", "eps-negative"])
+def test_input_errors_exit_2_with_their_path(tmp_path, capsys, mutate, message):
+    obj = _one_loop_z2()
+    if mutate is None:
+        obj = [obj]
+    else:
+        mutate(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+

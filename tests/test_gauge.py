@@ -137,6 +137,30 @@ def test_verify_action_rejects_non_homomorphic_perm():
     assert not verify_action(bad).ok
 
 
+SWAP_VW = {"v": "w", "w": "v"}
+FIX_VW = {"v": "v", "w": "w"}
+
+
+@pytest.mark.parametrize("table, perms, edges, reason", [
+    (((0,),), (SWAP_VW,), (), "vertex permutations fail homomorphism at (0, 0)"),
+    (((0, 1), (1, 0)), (SWAP_VW, SWAP_VW), (),
+     "vertex permutations fail homomorphism at (0, 0)"),
+    # the identity is element 1 here, so the first failing pair is (0, 0)
+    (((1, 0), (0, 1)), (FIX_VW, SWAP_VW), (), "vertex permutations fail homomorphism at (0, 0)"),
+    (((0,),), (SWAP_VW,), (("e", "v", "w"),),
+     "element 0 maps bucket ('w', 'v') to one of different size"),
+    (((0,),), (SWAP_VW,), (("e", "v", "w"), ("f", "w", "v")),
+     "vertex permutations fail homomorphism at (0, 0)"),
+], ids=["trivial", "z2-both-swap", "z2-identity-second", "one-edge", "two-cycle"])
+def test_verify_action_rejects_an_identity_that_moves_a_vertex(table, perms, edges, reason):
+    # pi_e = pi_e o pi_e at (e, e) forces pi_e = id for a bijection, so the
+    # homomorphism (or, first, the bucket-size) check decides this case
+    act = GaugeAction(FiniteGroup(table), DirectedGraph(("v", "w"), edges), perms, {})
+    res = verify_action(act)
+    assert not res.ok
+    assert res.reason == reason
+
+
 def test_missing_bucket_matrix_rejected():
     g = cuntz_graph(2)
     group = FiniteGroup.cyclic(2)
