@@ -11,167 +11,24 @@ reproduces an exact two-part norm computation exhibiting an operator-algebra
 cover to which a circle action does not extend.
 """
 
-from .exceptions import (
-    ConfigurationError,
-    ContractivityError,
-    CorrdilError,
-    DimensionError,
-    GraphLookupError,
-    ParseError,
-    PositivityError,
-    ResourceCapError,
-    StructureError,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    HALMOS_CONSTANT,
-    Subspace,
-    Tolerance,
-    as_cmatrix,
-    defect_sqrt,
-    is_psd,
-    op_norm,
-    orthonormal_closure,
-    psd_sqrt,
-)
-from .graph import (
-    DirectedGraph,
-    Edge,
-    edge_bucket,
-    finite_receivers,
-    range_fiber,
-    satisfies_hyperrigidity_criterion,
-)
-from .correspondence import (
-    CoeffElement,
-    CorrElement,
-    delta_edge,
-    delta_vertex,
-    inner_product,
-    left_action,
-    right_action,
-)
-from .gauge import (
-    CheckResult,
-    FiniteGroup,
-    GaugeAction,
-    act_on_coeff,
-    act_on_element,
-    trivial_action,
-    verify_action,
-    verify_group,
-)
-from .representation import (
-    CheckLine,
-    DefectReport,
-    GraphRep,
-    RowContractionReport,
-    VertexContraction,
-    apply_t,
-    ck_defect,
-    covariance_defect,
-    induced_regular_rep,
-    row_contraction_check,
-    toeplitz_defect,
-    validate,
-)
-from .dilation import (
-    DilationStep,
-    PipelineReport,
-    StageRecord,
-    cp_dilate,
-    iterate_ck,
-    iterate_coextension,
-    minimal_reduce,
-    moment_signature,
-    one_step_ck,
-    one_step_isometric,
-)
-from .disc import (
-    CoverElement,
-    admissibility_gap,
-    cover_norm,
-    embed_poly,
-    mobius_coeffs,
-    relation_defect,
-)
+# Each layer's __all__ is the one list of its public names, republished here;
+# io's three format helpers and the cli entry point stay out of the root.
+from . import correspondence, dilation, disc, exceptions, gauge, graph, linalg, representation
+from .exceptions import *
+from .linalg import *
+from .graph import *
+from .gauge import *
+from .representation import *
+from .correspondence import *
+from .dilation import *
+from .disc import *
 from .io import ProblemFile, load_problem, parse_problem, problem_text, save_problem
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigurationError",
-    "ContractivityError",
-    "CorrdilError",
-    "DimensionError",
-    "GraphLookupError",
-    "ParseError",
-    "PositivityError",
-    "ResourceCapError",
-    "StructureError",
-    "DEFAULT_TOL",
-    "HALMOS_CONSTANT",
-    "Subspace",
-    "Tolerance",
-    "as_cmatrix",
-    "defect_sqrt",
-    "is_psd",
-    "op_norm",
-    "orthonormal_closure",
-    "psd_sqrt",
-    "DirectedGraph",
-    "Edge",
-    "edge_bucket",
-    "finite_receivers",
-    "range_fiber",
-    "satisfies_hyperrigidity_criterion",
-    "CoeffElement",
-    "CorrElement",
-    "delta_edge",
-    "delta_vertex",
-    "inner_product",
-    "left_action",
-    "right_action",
-    "CheckResult",
-    "FiniteGroup",
-    "GaugeAction",
-    "act_on_coeff",
-    "act_on_element",
-    "trivial_action",
-    "verify_action",
-    "verify_group",
-    "CheckLine",
-    "DefectReport",
-    "GraphRep",
-    "RowContractionReport",
-    "VertexContraction",
-    "apply_t",
-    "ck_defect",
-    "covariance_defect",
-    "induced_regular_rep",
-    "row_contraction_check",
-    "toeplitz_defect",
-    "validate",
-    "DilationStep",
-    "PipelineReport",
-    "StageRecord",
-    "cp_dilate",
-    "iterate_ck",
-    "iterate_coextension",
-    "minimal_reduce",
-    "moment_signature",
-    "one_step_ck",
-    "one_step_isometric",
-    "CoverElement",
-    "admissibility_gap",
-    "cover_norm",
-    "embed_poly",
-    "mobius_coeffs",
-    "relation_defect",
-    "ProblemFile",
-    "load_problem",
-    "parse_problem",
-    "problem_text",
-    "save_problem",
+    *exceptions.__all__, *linalg.__all__, *graph.__all__, *gauge.__all__,
+    *representation.__all__, *correspondence.__all__, *dilation.__all__, *disc.__all__,
+    "ProblemFile", "load_problem", "parse_problem", "problem_text", "save_problem",
     "__version__",
 ]

@@ -347,18 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_tolerance(p):   # the commands that read a problem file's tolerance
         p.add_argument("--tol", type=float, default=None, help="defect tolerance (default 1e-8)")
         p.add_argument("--eig-clip", type=float, default=None,
                        help="eigenvalue clipping threshold (default 1e-10)")
         p.add_argument("--max-dim", type=int, default=None,
                        help="dimension cap for dilation spaces (default 4096)")
+
+    def add_format(p):
         p.add_argument("--format", choices=("text", "records"), default="text",
                        help="report format: aligned text or JSON records")
 
     p = sub.add_parser("validate", help="run structural and defect checks on a problem file")
     p.add_argument("file")
-    add_common(p)
+    add_tolerance(p)
+    add_format(p)
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("dilate", help="run a dilation pipeline on a problem file")
@@ -368,13 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="isometric/ck step count (modes isometric, ck)")
     p.add_argument("--rounds", type=int, default=8, help="maximum CK rounds (mode cp)")
     p.add_argument("--out", default=None, help="write the final representation to this file")
-    add_common(p)
+    add_tolerance(p)
+    add_format(p)
     p.set_defaults(handler=cmd_dilate)
 
     p = sub.add_parser("induce", help="induce the finite-group regular representation")
     p.add_argument("file")
     p.add_argument("--out", default=None, help="write the induced representation to this file")
-    add_common(p)
+    add_tolerance(p)
+    add_format(p)
     p.set_defaults(handler=cmd_induce)
 
     p = sub.add_parser("counterexample",
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Mobius series truncation degree (default 64)")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID,
                    help="unit-circle sample count (default 4096)")
-    add_common(p)
+    add_format(p)
     p.set_defaults(handler=cmd_counterexample)
     return parser
 

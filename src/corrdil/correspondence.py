@@ -1,6 +1,7 @@
 """The graph correspondence (X, C, phi_X): finitely supported elements over
-edges (X) and vertices (C = functions on V), the C-valued inner product and
-the two module actions.
+edges (X) and vertices (C = functions on V), the C-valued inner product, the
+two module actions, and the bridges from elements to the numerical core: the
+gauge action on elements and the edge operator t(x) of a representation.
 
 Finitely supported maps are the whole module for a finite graph, so no
 completion is ever taken; coefficients are exact dict entries.
@@ -10,8 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import StructureError
+from .gauge import GaugeAction
 from .graph import DirectedGraph
+from .representation import GraphRep, _edge_sum
 
 __all__ = [
     "CoeffElement",
@@ -21,6 +26,9 @@ __all__ = [
     "inner_product",
     "right_action",
     "left_action",
+    "act_on_element",
+    "act_on_coeff",
+    "apply_t",
 ]
 
 
@@ -120,3 +128,28 @@ def left_action(c: CoeffElement, x: CorrElement) -> CorrElement:
         x.graph,
         {e: c(x.graph.edge(e).dst) * xc for e, xc in x.coeffs.items()},
     )
+
+
+def act_on_element(a: GaugeAction, g: int, x: CorrElement) -> CorrElement:
+    """alpha_g(x): W_g applied to the coefficient vector of x."""
+    a.group.check_element(g)
+    if x.graph != a.graph:
+        raise StructureError("element lives over a different graph")
+    edges = a.graph.edges
+    moved = a.edge_unitaries[g] @ np.array([x(e.eid) for e in edges], dtype=complex)
+    return CorrElement(a.graph, {e.eid: c for e, c in zip(edges, moved)})
+
+
+def act_on_coeff(a: GaugeAction, g: int, c: CoeffElement) -> CoeffElement:
+    """alpha_g(c), the pushforward along the vertex permutation."""
+    a.group.check_element(g)
+    if c.graph != a.graph:
+        raise StructureError("element lives over a different graph")
+    return CoeffElement(a.graph, {a.vertex_perm[g][v]: val for v, val in c.coeffs.items()})
+
+
+def apply_t(rep: GraphRep, x: CorrElement) -> np.ndarray:
+    """t(x) = sum_e x(e) edge_op(e)."""
+    if x.graph != rep.graph:
+        raise StructureError("correspondence element lives over a different graph")
+    return _edge_sum(rep, [x(e.eid) for e in rep.graph.edges])

@@ -1,5 +1,17 @@
 """Exception hierarchy shared by all corrdil modules."""
 
+__all__ = [
+    "CorrdilError",
+    "DimensionError",
+    "PositivityError",
+    "ContractivityError",
+    "StructureError",
+    "GraphLookupError",
+    "ConfigurationError",
+    "ResourceCapError",
+    "ParseError",
+]
+
 
 class CorrdilError(Exception):
     """Base class for all library errors."""

@@ -13,7 +13,6 @@ from numbers import Integral
 
 import numpy as np
 
-from .correspondence import CoeffElement, CorrElement
 from .exceptions import GraphLookupError, StructureError
 from .graph import DirectedGraph, edge_bucket
 from .linalg import DEFAULT_TOL, Tolerance, _norm_within, _readonly, as_cmatrix
@@ -24,8 +23,6 @@ __all__ = [
     "GaugeAction",
     "verify_group",
     "verify_action",
-    "act_on_element",
-    "act_on_coeff",
     "trivial_action",
 ]
 
@@ -248,21 +245,3 @@ def verify_action(a: GaugeAction, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
                         f"bucket matrices fail homomorphism at ({gi}, {hi}), bucket ({v!r}, {w!r})",
                     )
     return CheckResult(True)
-
-
-def act_on_element(a: GaugeAction, g: int, x: CorrElement) -> CorrElement:
-    """alpha_g(x): W_g applied to the coefficient vector of x."""
-    a.group.check_element(g)
-    if x.graph != a.graph:
-        raise StructureError("element lives over a different graph")
-    edges = a.graph.edges
-    moved = a.edge_unitaries[g] @ np.array([x(e.eid) for e in edges], dtype=complex)
-    return CorrElement(a.graph, {e.eid: c for e, c in zip(edges, moved)})
-
-
-def act_on_coeff(a: GaugeAction, g: int, c: CoeffElement) -> CoeffElement:
-    """alpha_g(c), the pushforward along the vertex permutation."""
-    a.group.check_element(g)
-    if c.graph != a.graph:
-        raise StructureError("element lives over a different graph")
-    return CoeffElement(a.graph, {a.vertex_perm[g][v]: val for v, val in c.coeffs.items()})

@@ -324,9 +324,20 @@ def _tolerance_from_json(obj, path: str) -> Tolerance:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json.loads object hook: a key given twice in one object is an input
+    error, where a plain dict would keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_problem(text: str) -> ProblemFile:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: not valid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):

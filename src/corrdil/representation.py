@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correspondence import CorrElement
 from .exceptions import ConfigurationError, StructureError
 from .gauge import GaugeAction
 from .graph import DirectedGraph, finite_receivers, range_fiber
@@ -34,7 +33,6 @@ __all__ = [
     "VertexContraction",
     "RowContractionReport",
     "validate",
-    "apply_t",
     "row_contraction_check",
     "toeplitz_defect",
     "ck_defect",
@@ -170,13 +168,6 @@ def _edge_sum(rep: GraphRep, coeffs) -> np.ndarray:
         if c != 0:
             out = out + c * rep.edge_op[f.eid]
     return out
-
-
-def apply_t(rep: GraphRep, x: CorrElement) -> np.ndarray:
-    """t(x) = sum_e x(e) edge_op(e)."""
-    if x.graph != rep.graph:
-        raise StructureError("correspondence element lives over a different graph")
-    return _edge_sum(rep, [x(e.eid) for e in rep.graph.edges])
 
 
 @dataclass(frozen=True)

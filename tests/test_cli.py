@@ -429,6 +429,15 @@ def test_counterexample_bad_flags(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "1e-3"), ("--eig-clip", "-1"),
+                                         ("--max-dim", "0")])
+def test_counterexample_takes_no_tolerance_flags(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- tolerance flags
 
 def test_tol_flag_tightens_checks(tmp_path, capsys):
@@ -703,3 +712,18 @@ def test_input_errors_exit_2_with_their_path(tmp_path, capsys, mutate, message):
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"tolerance": {', '"tolerance": {}, "tolerance": {', "tolerance"),
+    ('"eps": 1e-08', '"eps": 1e-08, "eps": 0.5', "eps"),
+    ('"proj": {"v": ', '"proj": {"v": [[[0, 0]]], "v": ', "v"),
+    ('{"v": "v"}]', '{"v": "v", "v": "v"}]', "v"),
+], ids=["top-level-block", "tolerance-eps", "proj-vertex", "vertex-perm-key"])
+def test_duplicate_keys_exit_2_naming_the_key(tmp_path, capsys, old, new, key):
+    text = json.dumps(_one_loop_z2())
+    assert text.count(old) == 1
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace(old, new))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: duplicate key {key!r}\n"
