@@ -33,6 +33,7 @@ from .linalg import Tolerance, _max_op_norms
 from .representation import (
     CheckLine,
     GraphRep,
+    _gated,
     ck_defect,
     covariance_defect,
     induced_regular_rep,
@@ -176,17 +177,30 @@ def _structure_checks(pf: ProblemFile, tol: Tolerance, report: Report) -> bool:
     report.checks.append(
         _info("graph.hyperrigidity-criterion", 1.0 if satisfies_hyperrigidity_criterion(g) else 0.0)
     )
-    if pf.action is not None:
-        gres = verify_group(pf.action.group)
-        report.checks.append(_flag("action.group-axioms", gres.ok))
-        if not gres.ok:
-            report.notes.append(f"group axioms: {gres.reason}")
-        ares = verify_action(pf.action, tol)
-        report.checks.append(_flag("action.module-automorphism-axioms", ares.ok))
-        if not ares.ok:
-            report.notes.append(f"action axioms: {ares.reason}")
-        return ares.ok
-    return True
+    return pf.action is None or _action_checks(pf.action, tol, report)
+
+
+def _action_checks(action, tol: Tolerance, report: Report) -> bool:
+    """Append the action.* check lines, and a note for each that fails, to
+    report; returns verify_action's verdict, which includes the group's."""
+    for name, what, res in (("group-axioms", "group", verify_group(action.group)),
+                            ("module-automorphism-axioms", "action", verify_action(action, tol))):
+        report.checks.append(_flag(f"action.{name}", res.ok))
+        if not res.ok:
+            report.notes.append(f"{what} axioms: {res.reason}")
+    return res.ok
+
+
+def _action_fails(action, tol: Tolerance, report: Report, skipped: str) -> bool:
+    """Whether the action fails its checks (a bucket matrix of the wrong
+    shape is an input error, exit 2).  report, empty until now, then holds
+    the failing action.* lines and their notes and says what was not run."""
+    action.edge_unitaries
+    failed = not _action_checks(action, tol, report)
+    report.checks = [c for c in report.checks if not c.passed]
+    if failed:
+        report.notes.append(f"the action failed its checks; {skipped} not run")
+    return failed
 
 
 def _verdict_checks(rep: GraphRep, tol: Tolerance) -> list:
@@ -253,8 +267,8 @@ def cmd_dilate(args) -> Report:
         _defect_lines(rep, report)
         report.notes.append("input failed validation; pipeline not run")
         return report
-    if rep.covariant:   # a malformed bucket matrix is an input error before any pipeline
-        rep.action.edge_unitaries
+    if rep.action is not None and _action_fails(rep.action, tol, report, "pipeline"):
+        return report
     if args.mode in ("ck", "cp"):
         _truncation_note(rep, report)
 
@@ -264,7 +278,7 @@ def cmd_dilate(args) -> Report:
     elif args.mode == "ck":
         pipe = iterate_ck(rep, n_steps=args.steps, tol=tol)
         last = pipe.steps[-1].corner_ck if pipe.steps else ck_defect(rep)
-        report.checks.append(CheckLine("corner-ck-defect", last, tol.eps, last <= tol.eps))
+        report.checks.append(_gated("corner-ck-defect", last, tol.eps))
     else:  # cp
         pipe = cp_dilate(rep, max_rounds=args.rounds, tol=tol)
         report.checks.append(_flag("pipeline.converged", pipe.converged))
@@ -285,18 +299,17 @@ def cmd_induce(args) -> Report:
     report = Report(command=f"induce {args.file}")
 
     tol.check_dim(pf.action.group.order * rep.dim)
+    if _action_fails(pf.action, tol, report, "induction"):
+        return report
     ind = induced_regular_rep(rep, pf.action)
     report.checks.append(_info("induced.dim", ind.dim))
-    cov = covariance_defect(ind)
-    report.checks.append(CheckLine("induced.covariance-defect", cov, tol.eps, cov <= tol.eps))
+    report.checks.append(_gated("induced.covariance-defect", covariance_defect(ind), tol.eps))
     d, e = rep.dim, pf.action.group.identity
     sl = slice(e * d, (e + 1) * d)
     pairs = [(ind.proj[v], rep.proj[v]) for v in rep.graph.vertices] + [
         (ind.edge_op[e.eid], rep.edge_op[e.eid]) for e in rep.graph.edges]
     corner_dev = _max_op_norms(big[sl, sl] - small for big, small in pairs)[0]
-    report.checks.append(
-        CheckLine("induced.identity-corner-deviation", corner_dev, tol.eps, corner_dev <= tol.eps)
-    )
+    report.checks.append(_gated("induced.identity-corner-deviation", corner_dev, tol.eps))
     _write_out(args, ind, tol, report)
     return report
 
@@ -313,13 +326,8 @@ def cmd_counterexample(args) -> Report:
     lo, hi = admissibility_gap(trunc_degree=args.degree, grid=args.grid)
     report.checks.append(_info("defect-norm[mobius]", lo))
     report.checks.append(_info("defect-norm[coordinate]", hi))
-    report.checks.append(
-        CheckLine("mobius-norm-error", abs(lo - MOBIUS_EXPECTED), GAP_TOL,
-                  abs(lo - MOBIUS_EXPECTED) <= GAP_TOL)
-    )
-    report.checks.append(
-        CheckLine("coordinate-norm-error", abs(hi - 1.0), GAP_TOL, abs(hi - 1.0) <= GAP_TOL)
-    )
+    report.checks.append(_gated("mobius-norm-error", abs(lo - MOBIUS_EXPECTED), GAP_TOL))
+    report.checks.append(_gated("coordinate-norm-error", abs(hi - 1.0), GAP_TOL))
     report.checks.append(
         CheckLine("strict-gap(mobius < coordinate)", hi - lo, None, lo < hi)
     )
@@ -331,7 +339,7 @@ def cmd_counterexample(args) -> Report:
     # t = 1.5 * 2**-degree, and |p - p^2 conj(p)| <= 2t + 3t^2 + t^3 < 5 * 2**-degree
     # on the circle.  At the default degree this reduces to the exact-gap tolerance.
     fres_bound = max(GAP_TOL, 5.0 * 2.0 ** (-args.degree))
-    report.checks.append(CheckLine("function-residual[mobius]", fres, fres_bound, fres <= fres_bound))
+    report.checks.append(_gated("function-residual[mobius]", fres, fres_bound))
     report.notes.append(_matrix_note("embedded mobius matrix part", emb.mat_part))
     report.notes.append(_matrix_note("mobius relation-defect matrix part", dfct.mat_part))
     report.notes.append(f"gap pair: ({format(lo, '.8f')}, {format(hi, '.8f')})")
@@ -397,18 +405,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.handler(args)
-    except (ParseError, OSError) as exc:
+    except (CorrdilError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ContractivityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CorrdilError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return (3 if isinstance(exc, ResourceCapError)
+                else 1 if isinstance(exc, ContractivityError) else 2)
     print(render(report, args.format))
     return report.exit_status
 

@@ -30,6 +30,7 @@ from .linalg import (
     _frozen,
     _lead_product,
     _norm_within,
+    _psd_factor,
     _readonly,
     orthonormal_closure,
 )
@@ -289,12 +290,12 @@ def one_step_ck(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DilationStep:
         defect = rep.proj[v].copy()
         for e in range_fiber(graph, v):
             defect -= rep.edge_op[e] @ rep.edge_op[e].conj().T
-        A = basis[v].conj().T @ defect @ basis[v]
-        w, s, V = _eigen_factor(A, tol.eig_clip)
-        if w.min(initial=0.0) < -tol.eig_clip or not _norm_within(A - A.conj().T, tol.eps):
+        factor = _psd_factor(basis[v].conj().T @ defect @ basis[v], tol, tol.eig_clip)
+        if factor is None:
             raise PositivityError(
                 f"Cuntz-Krieger defect at vertex {v!r} is not positive semidefinite"
             )
+        _, s, V = factor
         K[v] = basis[v] @ V[:, s > 0]
         col[v] = K[v] * (s[s > 0] / np.sqrt(len(range_fiber(graph, v))))
     summands, edge_blocks = {}, {}
@@ -362,22 +363,19 @@ def _measure(stages: list, kind: str, rep: GraphRep, k: int, sizes=()) -> dict:
 
 
 def _run_steps(rep: GraphRep, constructions, tol: Tolerance, stages: list, sizes=()):
-    """Apply the one-step constructions in order, appending one StageRecord
-    per step (corner: the step's input, its output's leading coordinates)
-    to stages.  Each output is measured in one pass once the next step is
-    built, so the last one's also covers sizes.  Returns the last
+    """Apply the one-step constructions in order, measuring each output in
+    one pass, sizes included, as soon as it is built: one StageRecord per
+    step (corner: the step's input) appended to stages.  Returns the last
     representation, whether the cap cut the run short, and its corners."""
-    current, last, capped = rep, None, False   # last: the step that built current
+    current, capped, corners = rep, False, {}
     for construct in constructions:
         try:
             step = construct(current, tol)
         except ResourceCapError:
             capped = True
             break
-        if last is not None:
-            _measure(stages, last.kind, current, last.old_dim)
-        current, last = step.rep_after, step
-    corners = {} if last is None else _measure(stages, last.kind, current, last.old_dim, sizes)
+        current = step.rep_after
+        corners = _measure(stages, step.kind, current, step.old_dim, sizes)
     return current, capped, corners
 
 
@@ -448,7 +446,7 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
         dilated, capped, corners = _run_steps(current, round_steps, tol, stages, (d, current.dim))
         if capped:
             break
-        done = max(corners[current.dim]) <= tol.eps   # on the round's input
+        done = all(x <= tol.eps for x in corners[current.dim])   # on the round's input; a NaN fails
         current = dilated
         t, c = corners[d]
         stages.append(replace(stages[-1], kind="compression", corner_toeplitz=t, corner_ck=c))

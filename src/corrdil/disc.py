@@ -27,7 +27,6 @@ __all__ = [
     "CoverElement",
     "mobius_coeffs",
     "embed_poly",
-    "cover_norm",
     "relation_defect",
     "admissibility_gap",
 ]
@@ -85,12 +84,6 @@ def embed_poly(coeffs, grid: int = DEFAULT_GRID) -> CoverElement:
     a1 = c[1] if len(c) > 1 else 0j
     mat = np.array([[a0, 0.0], [a1, a0]], dtype=complex)
     return CoverElement(func, mat)
-
-
-def cover_norm(x: CoverElement) -> float:
-    """max of the sup norm over the grid and the matrix operator norm."""
-    func_norm = float(np.max(np.abs(x.func_part), initial=0.0))
-    return max(func_norm, op_norm(x.mat_part))
 
 
 def relation_defect(coeffs, grid: int = DEFAULT_GRID) -> CoverElement:

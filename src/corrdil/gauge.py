@@ -205,7 +205,8 @@ def trivial_action(graph: DirectedGraph) -> GaugeAction:
 
 
 def verify_action(a: GaugeAction, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
-    """Check unitarity, the homomorphism identities, and the identity's bucket
+    """Check that each vertex map maps the truncated vertices onto themselves,
+    unitarity, the homomorphism identities, and the identity's bucket
     matrices; the vertex homomorphism at (e, e) forces the bijection pi_e = id."""
     group_ok = verify_group(a.group)
     if not group_ok:
@@ -228,6 +229,8 @@ def verify_action(a: GaugeAction, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
         if not _norm_within(a.bucket_unitary[(e, v, w)] - np.eye(n), tol.eps):
             return CheckResult(False, f"identity bucket matrix on ({v!r}, {w!r}) is not I")
     for gi in g_ids:
+        if {a.vertex_perm[gi][v] for v in a.graph.truncated} != a.graph.truncated:
+            return CheckResult(False, f"element {gi} moves a truncated vertex")
         for hi in g_ids:
             gh = a.group.mul(gi, hi)
             for v in a.graph.vertices:

@@ -218,6 +218,15 @@ def _need(obj: dict, key: str, kind, path: str):
     return val
 
 
+def _built(path: str, make, *args):
+    """make(*args), its input error (a CorrdilError, or Tolerance's
+    ValueError) raised as a ParseError at path."""
+    try:
+        return make(*args)
+    except (CorrdilError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def _graph_from_json(obj, path: str) -> DirectedGraph:
     vertices = _need(obj, "vertices", list, path)
     raw_edges = _need(obj, "edges", list, path)
@@ -233,19 +242,13 @@ def _graph_from_json(obj, path: str) -> DirectedGraph:
         for i, v in enumerate(ids):
             if not isinstance(v, str):
                 raise ParseError(f"{path}.{key}[{i}]: expected a string")
-    try:
-        return DirectedGraph(tuple(vertices), tuple(edges), frozenset(truncated))
-    except CorrdilError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _built(path, DirectedGraph, tuple(vertices), tuple(edges), frozenset(truncated))
 
 
 def _action_from_json(obj, graph: DirectedGraph, path: str) -> GaugeAction:
     group_obj = _need(obj, "group", dict, path)
     table = _need(group_obj, "table", list, f"{path}.group")
-    try:
-        group = FiniteGroup(table)
-    except CorrdilError as exc:
-        raise ParseError(f"{path}.group: {exc}") from exc
+    group = _built(f"{path}.group", FiniteGroup, table)
     perms = _need(obj, "vertex_perm", list, path)
     if len(perms) != group.order:
         raise ParseError(f"{path}.vertex_perm: expected {group.order} entries")
@@ -271,10 +274,7 @@ def _action_from_json(obj, graph: DirectedGraph, path: str) -> GaugeAction:
         if (g, v, w) in units:
             raise ParseError(f"{where}: repeats element {g}, bucket ({v!r}, {w!r})")
         units[(g, v, w)] = matrix_from_json(_need(entry, "matrix", list, where), f"{where}.matrix")
-    try:
-        return GaugeAction(group, graph, tuple(perms), units)
-    except CorrdilError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _built(path, GaugeAction, group, graph, tuple(perms), units)
 
 
 def _rep_from_json(obj, graph: DirectedGraph, action, path: str) -> GraphRep:
@@ -295,10 +295,7 @@ def _rep_from_json(obj, graph: DirectedGraph, action, path: str) -> GraphRep:
         unitaries = {
             g: operator(M, f"{path}.unitaries[{g}]") for g, M in enumerate(raw)
         }
-    try:
-        return GraphRep(graph, dim, proj, edge_op, action=action, unitaries=unitaries)
-    except CorrdilError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _built(path, GraphRep, graph, dim, proj, edge_op, action, unitaries)
 
 
 def _tolerance_from_json(obj, path: str) -> Tolerance:
@@ -314,14 +311,8 @@ def _tolerance_from_json(obj, path: str) -> Tolerance:
     max_dim = obj.get("max_dim", Tolerance.max_dim)
     if not isinstance(max_dim, int) or isinstance(max_dim, bool):
         raise ParseError(f"{path}.max_dim: expected an integer")
-    try:
-        return Tolerance(
-            eps=float(obj.get("eps", Tolerance.eps)),
-            eig_clip=float(obj.get("eig_clip", Tolerance.eig_clip)),
-            max_dim=max_dim,
-        )
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _built(path, Tolerance, float(obj.get("eps", Tolerance.eps)),
+                  float(obj.get("eig_clip", Tolerance.eig_clip)), max_dim)
 
 
 def _unique_keys(pairs: list) -> dict:

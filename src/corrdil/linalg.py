@@ -323,8 +323,9 @@ def _max_op_norms(residuals, sizes=(None,)) -> list:
     maximum of operator norms; each value is an exact norm of a maximizing
     residual, pruned by the certified bounds of _stack_max."""
     worst = [0.0] * len(sizes)
-    for S in _stacks(residuals):
-        worst = [_stack_max(S[:, :k, :k], w) for k, w in zip(sizes, worst)]
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflowed residual is a NaN norm
+        for S in _stacks(residuals):
+            worst = [_stack_max(S[:, :k, :k], w) for k, w in zip(sizes, worst)]
     return worst
 
 
@@ -332,7 +333,8 @@ def _op_norms(residuals) -> np.ndarray:
     """||R_i||_2 for every residual, in order and unpruned: _exact_norms of
     each _STACK_BYTES stack, so each value is op_norm(R_i) bit for bit when
     its stack is finite."""
-    norms = [_exact_norms(S) for S in _stacks(residuals)]
+    with np.errstate(over="ignore", invalid="ignore"):   # as in _max_op_norms
+        norms = [_exact_norms(S) for S in _stacks(residuals)]
     return np.concatenate(norms) if norms else np.zeros(0)
 
 
@@ -356,31 +358,36 @@ def _sqrt_from(factor) -> np.ndarray:
     return _hermitian_part((V * s) @ V.conj().T)
 
 
+def _psd_factor(A: np.ndarray, tol: Tolerance, cutoff: float):
+    """_eigen_factor(A, cutoff) if A is Hermitian within tol.eps with no
+    eigenvalue below -tol.eig_clip, else None: the one positivity test."""
+    if not _norm_within(A - A.conj().T, tol.eps):
+        return None
+    factor = _eigen_factor(A, cutoff)
+    return factor if factor[0].min(initial=0.0) >= -tol.eig_clip else None
+
+
 def is_psd(M, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Hermitian within tol.eps and minimal eigenvalue >= -tol.eig_clip."""
     A = as_cmatrix(M)
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"is_psd needs a square matrix, got {A.shape}")
-    if A.size == 0:
-        return True
-    if not _norm_within(A - A.conj().T, tol.eps):
-        return False
-    w = np.linalg.eigvalsh(_hermitian_part(A))
-    return bool(w.min() >= -tol.eig_clip)
+    return _psd_factor(A, tol, 0.0) is not None
 
 
 def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root via spectral decomposition.
 
     Eigenvalues in [-eig_clip, 0) are clipped to 0; anything more negative is
-    rejected by the is_psd precondition.
+    rejected by the is_psd test, read from the same factor.
     """
     A = as_cmatrix(M)
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"psd_sqrt needs a square matrix, got {A.shape}")
-    if not is_psd(A, tol):
+    factor = _psd_factor(A, tol, 0.0)
+    if factor is None:
         raise PositivityError("matrix is not positive semidefinite within tolerance")
-    return _sqrt_from(_eigen_factor(A, 0.0))
+    return _sqrt_from(factor)
 
 
 def defect_sqrt(T, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -19,6 +19,7 @@ from .linalg import (
     _extent,
     _extent_bound,
     _frozen,
+    _hermitian_part,
     _lead_product,
     _max_op_norms,
     _op_norms,
@@ -105,6 +106,11 @@ class CheckLine:
     passed: bool
 
 
+def _gated(name: str, value: float, threshold: float) -> CheckLine:
+    """value's check line: it passes at or below threshold, and NaN fails."""
+    return CheckLine(name, value, threshold, value <= threshold)
+
+
 @dataclass(frozen=True)
 class DefectReport:
     checks: tuple
@@ -156,9 +162,7 @@ def validate(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DefectReport:
     firsts = [i for i, name in enumerate(names) if i == 0 or name != names[i - 1]]
     # np.maximum keeps a NaN norm (from an inf entry), so its check fails
     values = np.maximum.reduceat(norms, firsts).tolist()
-    return DefectReport(tuple(
-        CheckLine(names[i], value, tol.eps, value <= tol.eps) for i, value in zip(firsts, values)
-    ))
+    return DefectReport(tuple(_gated(names[i], value, tol.eps) for i, value in zip(firsts, values)))
 
 
 def _edge_sum(rep: GraphRep, coeffs) -> np.ndarray:
@@ -245,9 +249,9 @@ def row_contraction_check(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> RowCon
         fiber = [rep.graph.edge(e) for e in range_fiber(rep.graph, v)]
         if not fiber:
             continue
-        block = np.block([[_toeplitz_residual(rep, e, f, extents) for f in fiber]
-                          for e in fiber])
-        H = 0.5 * (block + block.conj().T)
+        with np.errstate(over="ignore", invalid="ignore"):   # overflow is checked below
+            H = _hermitian_part(np.block([[_toeplitz_residual(rep, e, f, extents) for f in fiber]
+                                          for e in fiber]))
         if not np.isfinite(H).all():
             margin = float("nan")
         else:

@@ -163,6 +163,14 @@ def z2_vertex_swap() -> tuple:
     return g, GaugeAction(group, g, perms, units)
 
 
+def truncated_vertex_swap(truncated=("v1",)) -> GaugeAction:
+    """z2_vertex_swap on the 2-cycle with the given vertices truncated: it
+    moves a truncated vertex unless none or both are truncated."""
+    g, a = z2_vertex_swap()
+    tg = DirectedGraph(g.vertices, g.edges, frozenset(truncated))
+    return GaugeAction(a.group, tg, a.vertex_perm, a.bucket_unitary)
+
+
 def z3_cycle_rotation() -> tuple:
     """Z_3 rotating the 3-cycle graph."""
     g = cycle_graph(3)

@@ -43,7 +43,7 @@ def test_root_republishes_each_layer_list():
     assert set(io_names) <= set(corrdil.io.__all__)
     expected = [name for m in layers for name in importlib.import_module(f"corrdil.{m}").__all__]
     expected += io_names + ["__version__"]
-    assert len(expected) == len(set(expected)) == 74
+    assert len(expected) == len(set(expected)) == 73
     assert set(corrdil.__all__) == set(expected)
     namespace = {}
     exec("from corrdil import *", namespace)

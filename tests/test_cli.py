@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import corrdil.cli
 from corrdil import (
+    FiniteGroup,
+    GaugeAction,
     GraphRep,
     ProblemFile,
     Tolerance,
@@ -28,6 +30,7 @@ from helpers import (
     cuntz_graph,
     random_cc_rep,
     rng_for,
+    truncated_vertex_swap,
     z2_loop_swap,
     z3_loop_rotation,
     zero_rep,
@@ -244,7 +247,6 @@ def test_dilate_rejects_expansive_rep(tmp_path, capsys):
     assert "pipeline not run" in out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy reports the overflow
 def test_overflowing_entries_fail_the_row_check(capsys):
     # canonical_sample.json holds entries near 1e300, whose products overflow
     path = str(CANONICAL_SAMPLE)
@@ -521,6 +523,44 @@ def test_validate_skips_covariance_after_failed_action_check(tmp_path, capsys):
     assert "action axioms: bucket matrix (1, 'v', 'v') has wrong shape" in out
     assert "note: covariance-defect not measured" in out
     assert "toeplitz-defect" in out
+
+
+def _action_file(tmp_path, action) -> str:
+    """A representation that passes every verdict check, its unitaries all
+    I, carrying the given action."""
+    base = random_cc_rep(rng_for(1250), action.graph, dim=2)
+    eye = {g: np.eye(2) for g in range(action.group.order)}
+    rep = GraphRep(action.graph, 2, base.proj, base.edge_op, action=action, unitaries=eye)
+    path = tmp_path / "action.json"
+    save_problem(ProblemFile(rep.graph, action, rep, Tolerance()), path)
+    return str(path)
+
+
+NON_UNITARY = GaugeAction(FiniteGroup.cyclic(2), cuntz_graph(2), ({"v": "v"}, {"v": "v"}),
+                          {(1, "v", "v"): np.array([[0.0, 2.0], [0.5, 0.0]])})
+
+
+@pytest.mark.parametrize("action, reason", [
+    (NON_UNITARY, "bucket matrix (1, 'v', 'v') is not unitary"),
+    (truncated_vertex_swap(), "element 1 moves a truncated vertex"),
+], ids=["non-unitary", "moves-truncated"])
+@pytest.mark.parametrize("argv, skipped", [
+    (["dilate", "--mode", "isometric"], "pipeline"), (["dilate", "--mode", "ck"], "pipeline"),
+    (["dilate", "--mode", "cp"], "pipeline"), (["induce"], "induction"),
+], ids=["isometric", "ck", "cp", "induce"])
+def test_failing_action_stops_dilate_and_induce(tmp_path, capsys, action, reason, argv, skipped):
+    path, out_path = _action_file(tmp_path, action), tmp_path / "out.json"
+    assert main(["validate", path]) == 1
+    assert f"note: action axioms: {reason}\n" in capsys.readouterr().out
+    assert main(argv + [path, "--out", str(out_path), "--format", "records"]) == 1
+    assert _records(capsys)[1:] == [
+        {"record": "check", "name": "action.module-automorphism-axioms", "value": 0.0,
+         "threshold": None, "passed": False},
+        {"record": "note", "text": f"action axioms: {reason}"},
+        {"record": "note", "text": f"the action failed its checks; {skipped} not run"},
+        {"record": "result", "exit_status": 1},
+    ]
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------- vertex maps

@@ -22,6 +22,7 @@ from corrdil import (
     PipelineReport,
     PositivityError,
     ResourceCapError,
+    StructureError,
     Subspace,
     Tolerance,
     apply_t,
@@ -41,6 +42,7 @@ from corrdil import (
     row_contraction_check,
     toeplitz_defect,
     validate,
+    verify_action,
 )
 from helpers import (
     cuntz_graph,
@@ -51,6 +53,7 @@ from helpers import (
     random_graph,
     random_unit_vector,
     rng_for,
+    truncated_vertex_swap,
     unitary_cycle_oracle,
     z2_loop_swap,
     z3_cycle_rotation,
@@ -671,6 +674,26 @@ def test_cp_dilate_capped():
     report = cp_dilate(rep, max_rounds=4, tol=Tolerance(max_dim=24))
     assert report.capped
     assert not report.converged
+
+
+def test_cp_dilate_nan_corner_does_not_converge(monkeypatch):
+    # max([0.0, nan]) is 0.0: the stopping rule must read each corner, so
+    # that a NaN Cuntz-Krieger corner does not end the run as converged
+    monkeypatch.setattr(corrdil.dilation, "_corner_defects",
+                        lambda rep, sizes: {k: [0.0, float("nan")] for k in sizes})
+    report = cp_dilate(slow_loop(), 2)
+    assert not report.converged
+    assert [s.kind for s in report.steps] == ["ck-step", "isometric-step", "compression"] * 2
+
+
+def test_ck_step_rejects_an_action_that_moves_a_truncated_vertex():
+    # verify_action rejects the action, but a library caller can still hand
+    # the step a representation carrying it: the step finds the moved summand
+    a = truncated_vertex_swap()
+    rep = induced_regular_rep(random_cc_rep(rng_for(1260), a.graph, 2), a)
+    assert not verify_action(a).ok
+    with pytest.raises(StructureError, match="outside the finite receivers"):
+        one_step_ck(rep)
 
 
 def pipeline_inputs():

@@ -8,13 +8,11 @@ import pytest
 
 from corrdil import (
     admissibility_gap,
-    cover_norm,
     embed_poly,
     mobius_coeffs,
     op_norm,
     relation_defect,
 )
-from corrdil.disc import CoverElement
 
 GAP = 3.0 * np.sqrt(10.0) / 16.0
 
@@ -61,21 +59,6 @@ def test_embed_truncated_mobius_matrix_part_exact():
 def test_embed_degree_overflow():
     with pytest.raises(ValueError):
         embed_poly([0.0] * 70, grid=64)
-
-
-# ---------------------------------------------------------------- norms
-
-def test_cover_norm_coordinate():
-    assert cover_norm(embed_poly([0.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cover_norm_pure_matrix_parts():
-    defect = CoverElement(np.zeros(4, dtype=complex),
-                          np.array([[-3 / 8, -3 / 16], [3 / 8, 3 / 16]], dtype=complex))
-    assert cover_norm(defect) == pytest.approx(GAP, abs=1e-14)
-    nil = CoverElement(np.zeros(4, dtype=complex),
-                       np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex))
-    assert cover_norm(nil) == pytest.approx(1.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------- relation defect

@@ -27,6 +27,7 @@ from helpers import (
     cuntz_graph,
     random_corr_element,
     rng_for,
+    truncated_vertex_swap,
     z2_loop_swap,
     z2_vertex_swap,
     z3_cycle_rotation,
@@ -135,6 +136,39 @@ def test_verify_action_rejects_non_homomorphic_perm():
     perms = ({"v": "v", "w": "w"}, {"v": "w", "w": "v"}, {"v": "v", "w": "w"})
     bad = GaugeAction(group, g, perms, {})
     assert not verify_action(bad).ok
+
+
+def test_verify_action_rejects_an_identity_bucket_that_is_not_i():
+    # the swap is unitary, so only the identity-bucket check rejects it
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    act = GaugeAction(FiniteGroup.cyclic(2), cuntz_graph(2), ({"v": "v"}, {"v": "v"}),
+                      {(0, "v", "v"): swap, (1, "v", "v"): np.eye(2)})
+    res = verify_action(act)
+    assert not res.ok
+    assert res.reason == "identity bucket matrix on ('v', 'v') is not I"
+
+
+def test_verify_action_rejects_non_homomorphic_buckets():
+    # the vertex maps are homomorphic, but diag(1, i) squares to diag(1, -1), not I
+    act = GaugeAction(FiniteGroup.cyclic(2), cuntz_graph(2), ({"v": "v"}, {"v": "v"}),
+                      {(1, "v", "v"): np.diag([1.0, 1j])})
+    res = verify_action(act)
+    assert not res.ok
+    assert res.reason == "bucket matrices fail homomorphism at (1, 1), bucket ('v', 'v')"
+
+
+@pytest.mark.parametrize("truncated, reason", [
+    (("v1",), "element 1 moves a truncated vertex"),
+    (("v0",), "element 1 moves a truncated vertex"),
+    ((), ""),
+    (("v0", "v1"), ""),
+], ids=["v1", "v0", "none", "both"])
+def test_verify_action_keeps_the_truncated_vertices(truncated, reason):
+    # a truncated vertex stands for an infinite receiver, so an automorphism
+    # must map the truncated vertices onto themselves
+    res = verify_action(truncated_vertex_swap(truncated))
+    assert res.ok is (reason == "")
+    assert res.reason == reason
 
 
 SWAP_VW = {"v": "w", "w": "v"}

@@ -185,7 +185,6 @@ def test_row_contraction_zero_rep():
     assert row_contraction_check(zero_rep(cuntz_graph(2), 2)).passed
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy reports the overflow
 def test_row_contraction_fails_an_overflowing_fiber():
     # t(big)* t(big) overflows: that fiber's margin is nan and fails, with no
     # eigensolver run on it; the other fiber is still measured
