@@ -263,8 +263,10 @@ def cmd_dilate(args) -> Report:
 
     verdict = _verdict_checks(rep, tol)
     if not all(c.passed for c in verdict):
-        report.checks = verdict
-        _defect_lines(rep, report)
+        # validate's lines without the graph's and the passing action lines
+        action_ok = rep.action is None or _action_checks(rep.action, tol, report)
+        report.checks = [c for c in report.checks if not c.passed] + verdict
+        _defect_lines(rep, report, covariance=action_ok)
         report.notes.append("input failed validation; pipeline not run")
         return report
     if rep.action is not None and _action_fails(rep.action, tol, report, "pipeline"):
@@ -272,16 +274,17 @@ def cmd_dilate(args) -> Report:
     if args.mode in ("ck", "cp"):
         _truncation_note(rep, report)
 
-    if args.mode == "isometric":
-        pipe = iterate_coextension(rep, n_steps=args.steps, tol=tol)
-        report.checks.append(_flag("pipeline.converged", pipe.converged))
-    elif args.mode == "ck":
+    if args.mode == "ck":
         pipe = iterate_ck(rep, n_steps=args.steps, tol=tol)
         last = pipe.steps[-1].corner_ck if pipe.steps else ck_defect(rep)
         report.checks.append(_gated("corner-ck-defect", last, tol.eps))
-    else:  # cp
-        pipe = cp_dilate(rep, max_rounds=args.rounds, tol=tol)
+    else:
+        pipe = (iterate_coextension(rep, n_steps=args.steps, tol=tol) if args.mode == "isometric"
+                else cp_dilate(rep, max_rounds=args.rounds, tol=tol))
         report.checks.append(_flag("pipeline.converged", pipe.converged))
+        covariance = pipe.steps[-1].covariance if pipe.steps else None
+        if covariance is not None:
+            report.checks.append(_gated("final-covariance-defect", covariance, tol.eps))
     report.stages = list(pipe.steps)
     report.capped = pipe.capped
     _write_out(args, pipe.final_rep, tol, report)
@@ -299,6 +302,11 @@ def cmd_induce(args) -> Report:
     report = Report(command=f"induce {args.file}")
 
     tol.check_dim(pf.action.group.order * rep.dim)
+    verdict = _verdict_checks(rep, tol)
+    if not all(c.passed for c in verdict):
+        report.checks = [c for c in verdict if not c.passed]
+        report.notes.append("input failed validation; induction not run")
+        return report
     if _action_fails(pf.action, tol, report, "induction"):
         return report
     ind = induced_regular_rep(rep, pf.action)

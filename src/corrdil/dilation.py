@@ -29,6 +29,7 @@ from .linalg import (
     _extent,
     _frozen,
     _lead_product,
+    _max_op_norms,
     _norm_within,
     _psd_factor,
     _readonly,
@@ -37,8 +38,8 @@ from .linalg import (
 from .representation import (
     GraphRep,
     _corner_defects,
+    _covariance_residuals,
     ck_defect,
-    covariance_defect,
     row_contraction_check,
     toeplitz_defect,
 )
@@ -162,7 +163,15 @@ def _extend(rep: GraphRep, kind: str, summands: dict, edge_blocks: dict,
     edge id, unitary_blocks (None when rep is not covariant) a group
     element, to (row key, column key, block) triples, the key None standing
     for H.  The cap is checked before any block is read, so blocks may be
-    produced lazily.  embed is H as the leading coordinates."""
+    produced lazily.  embed is H as the leading coordinates.
+
+    The stage measurement (_measure) relies on the block structure this
+    leaves at d: every projection is blockdiag(rep's, I on its own
+    summands, 0 elsewhere), every unitary blockdiag(rep's, a map carrying
+    each summand into its image's summands), and each step writes its edge
+    blocks on one side of H only, below H's columns (the isometric step:
+    t(e) is zero right of column d) or beside H's rows (the Cuntz-Krieger
+    step: t(e) is zero below row d)."""
     d = rep.dim
     at, pos = {None: slice(0, d)}, d
     for key, (_, size) in summands.items():
@@ -355,28 +364,43 @@ def minimal_reduce(rep: GraphRep, seed: Subspace, tol: Tolerance = DEFAULT_TOL) 
 
 def _measure(stages: list, kind: str, rep: GraphRep, k: int, sizes=()) -> dict:
     """Append rep's row, its corner the leading k coordinates, to stages and
-    return rep's corner defects at k, rep.dim and sizes, all from one pass."""
-    corners = _corner_defects(rep, {rep.dim, k, *sizes})
-    cov = covariance_defect(rep) if rep.covariant else None
+    return rep's corner defects at k, rep.dim and sizes, all from one pass.
+    A step's output is measured on the block its step can couple (_extend):
+    the Toeplitz residuals of an isometric stage and the Cuntz-Krieger ones
+    of a Cuntz-Krieger stage on their k x k corners, the covariance
+    residuals on the block where the edge operators live; the other kind of
+    residual, and a "compression" row, on the whole space."""
+    block = {"isometric-step": (rep.dim, k), "ck-step": (k, rep.dim)}.get(kind)
+    corners = _corner_defects(rep, {rep.dim, k, *sizes}, block)
+    cov = _max_op_norms(_covariance_residuals(rep, block))[0] if rep.covariant else None
     stages.append(StageRecord(kind, rep.dim, *corners[rep.dim], cov, *corners[k]))
     return corners
 
 
 def _run_steps(rep: GraphRep, constructions, tol: Tolerance, stages: list, sizes=()):
     """Apply the one-step constructions in order, measuring each output in
-    one pass, sizes included, as soon as it is built: one StageRecord per
-    step (corner: the step's input) appended to stages.  Returns the last
-    representation, whether the cap cut the run short, and its corners."""
+    one pass as soon as it is built: one StageRecord per step (corner: the
+    step's input) appended to stages, the last construction's output
+    measured at sizes too.  Returns the last representation, whether the
+    cap cut the run short, and its corners."""
     current, capped, corners = rep, False, {}
-    for construct in constructions:
+    for i, construct in enumerate(constructions, 1):
         try:
             step = construct(current, tol)
         except ResourceCapError:
             capped = True
             break
         current = step.rep_after
-        corners = _measure(stages, step.kind, current, step.old_dim, sizes)
+        corners = _measure(stages, step.kind, current, step.old_dim,
+                           sizes if i == len(constructions) else ())
     return current, capped, corners
+
+
+def _covariance_within(stages: list, tol: Tolerance) -> bool:
+    """Whether the last stage, if any, has no covariance defect (rep is not
+    covariant) or one <= tol.eps; NaN fails."""
+    cov = stages[-1].covariance if stages else None
+    return cov is None or cov <= tol.eps
 
 
 def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
@@ -385,9 +409,10 @@ def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TO
     tower, which the original space generates, so no reduction runs: the
     final representation is the last step's output and embed its leading
     coordinates.  Guarantee per stage: the Toeplitz defect compressed to the
-    previous stage's space is <= tol.eps.  Each step checks that its input
-    is a row contraction (ContractivityError otherwise); with no step to
-    run, the check of rep runs here."""
+    previous stage's space is <= tol.eps; for a covariant rep, converged
+    also needs the last stage's covariance defect <= tol.eps.  Each step
+    checks that its input is a row contraction (ContractivityError
+    otherwise); with no step to run, the check of rep runs here."""
     steps = [one_step_isometric] * int(n_steps)
     if not steps:
         _require_row_contraction(rep, tol)
@@ -396,9 +421,12 @@ def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TO
     if not stages:   # no step ran: the row measures rep itself
         _measure(stages, "compression", rep, rep.dim)
     else:   # the last row's representation, on the original space
+        if rep.dim not in corners:   # the cap stopped the run before its last step
+            corners = _corner_defects(final, (rep.dim,))
         t, c = corners[rep.dim]
         stages.append(replace(stages[-1], kind="compression", corner_toeplitz=t, corner_ck=c))
-    converged = not capped and all(s.corner_toeplitz <= tol.eps for s in stages)
+    converged = (not capped and all(s.corner_toeplitz <= tol.eps for s in stages)
+                 and _covariance_within(stages, tol))
     return PipelineReport(tuple(stages), converged, final,
                           _readonly(np.eye(final.dim, rep.dim, dtype=complex)), capped)
 
@@ -433,9 +461,10 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
     and the compression row measures it on the pipeline's original space.
     The stopping rule is a finite-stage surrogate for the limit object: each
     round certifies both relations on the corner carried forward from the
-    round before.  rep must be a row contraction (ContractivityError
-    otherwise), checked once here; each round's isometric step still reads
-    its own input's verdict from its own factor.
+    round before.  For a covariant rep, converged also needs the last
+    stage's covariance defect <= tol.eps.  rep must be a row contraction
+    (ContractivityError otherwise), checked once here; each round's
+    isometric step still reads its own input's verdict from its own factor.
     """
     _require_row_contraction(rep, tol)
     d, current, capped = rep.dim, rep, False
@@ -452,7 +481,7 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
         stages.append(replace(stages[-1], kind="compression", corner_toeplitz=t, corner_ck=c))
         if done:
             break
-    return PipelineReport(tuple(stages), done, current,
+    return PipelineReport(tuple(stages), done and _covariance_within(stages, tol), current,
                           _readonly(np.eye(current.dim, d, dtype=complex)), capped)
 
 

@@ -165,12 +165,14 @@ def validate(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> DefectReport:
     return DefectReport(tuple(_gated(names[i], value, tol.eps) for i, value in zip(firsts, values)))
 
 
-def _edge_sum(rep: GraphRep, coeffs) -> np.ndarray:
-    """sum_f c_f edge_op(f) over the nonzero c_f of a vector in edge order."""
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for f, c in zip(rep.graph.edges, coeffs):
-        if c != 0:
-            out = out + c * rep.edge_op[f.eid]
+def _edge_sum(rep: GraphRep, coeffs, block=None) -> np.ndarray:
+    """sum_f c_f edge_op(f) over the nonzero c_f of a vector in edge order,
+    on the leading block (r, c) of the operators, all of them by default."""
+    r, c = block or (rep.dim, rep.dim)
+    out = np.zeros((r, c), dtype=complex)
+    for f, x in zip(rep.graph.edges, coeffs):
+        if x != 0:
+            out = out + x * rep.edge_op[f.eid][:r, :c]
     return out
 
 
@@ -199,36 +201,86 @@ def _edge_extents(rep: GraphRep) -> dict:
     return {e.eid: _extent(rep.edge_op[e.eid]) for e in rep.graph.edges}
 
 
-def _toeplitz_residual(rep: GraphRep, e, f, extents: dict) -> np.ndarray:
-    """t(e)* t(f) - delta_ef proj(s(e)) for edges e, f, the product taken
-    on the edge operators' extents."""
-    R = _lead_product(rep.edge_op[e.eid], extents[e.eid],
-                      rep.edge_op[f.eid], extents[f.eid], adjoint=True)
-    return R - rep.proj[e.src] if e.eid == f.eid else R
+def _leading(M: np.ndarray, extent: tuple, rows: int, cols: int) -> tuple:
+    """(M's leading rows x cols block, the block's extent), given M's extent."""
+    return M[:rows, :cols], (min(extent[0], rows), min(extent[1], cols))
 
 
-def _ck_residuals(rep: GraphRep, extents: dict):
+def _edge_blocks(rep: GraphRep, extents: dict, rows: int | None = None,
+                 cols: int | None = None) -> dict:
+    """eid -> _leading block of t(e), all of it by default, and its extent."""
+    r, c = (rep.dim if n is None else n for n in (rows, cols))
+    return {e: _leading(T, extents[e], r, c) for e, T in rep.edge_op.items()}
+
+
+def _toeplitz_residual(rep: GraphRep, e, f, blocks: dict) -> np.ndarray:
+    """t(e)* t(f) - delta_ef proj(s(e)) for edges e, f, the product taken of
+    their _edge_blocks on the blocks' extents: of the operators' leading k
+    columns, it is the residual's leading k x k block."""
+    R = _lead_product(*blocks[e.eid], *blocks[f.eid], adjoint=True)
+    if e.eid != f.eid:
+        return R
+    k = len(R)
+    return R - rep.proj[e.src][:k, :k]
+
+
+def _ck_residuals(rep: GraphRep, extents: dict, k: int | None = None):
     """proj(v) - sum_{r(e)=v} t(e) t(e)* for each finite receiver v, in
     order, each t(e) t(e)* the product of t(e)'s leading block on its
     extent (r, c): T[:r, :c] T[:r, :c]*, zero outside the leading r x r
-    block.  These residuals are measured, not factored: one_step_ck forms
-    its own dense defect, so what a step builds does not depend on the
-    order in which these products sum."""
+    block.  Of the operators' leading k rows, these are the residuals'
+    leading k x k blocks.  These residuals are measured, not factored:
+    one_step_ck forms its own dense defect, so what a step builds does not
+    depend on the order in which these products sum."""
+    k = rep.dim if k is None else k
+    blocks = _edge_blocks(rep, extents, rows=k)
     for v in finite_receivers(rep.graph):
-        R = rep.proj[v].copy()
+        R = rep.proj[v][:k, :k].copy()
         for e in range_fiber(rep.graph, v):
-            r, c = extents[e]
-            lead = rep.edge_op[e][:r, :c]
+            T, (r, c) = blocks[e]
+            lead = T[:r, :c]
             R[:r, :r] -= lead @ lead.conj().T
         yield R
 
 
-def _toeplitz_residuals(rep: GraphRep, extents: dict):
-    """The Toeplitz residual of each edge pair e <= f in edge order, e-major:
-    (f, e) gives the adjoint, with the same norm on every leading block."""
-    edges = rep.graph.edges
-    return (_toeplitz_residual(rep, e, f, extents)
-            for i, e in enumerate(edges) for f in edges[i:])
+def _toeplitz_residuals(rep: GraphRep, extents: dict, k: int | None = None):
+    """The Toeplitz residual of each edge pair e <= f in edge order, e-major,
+    of the operators' leading k columns (all by default): (f, e) gives the
+    adjoint, with the same norm on every leading block."""
+    blocks, edges = _edge_blocks(rep, extents, cols=k), rep.graph.edges
+    return (_toeplitz_residual(rep, e, f, blocks) for i, e in enumerate(edges) for f in edges[i:])
+
+
+def _covariance_residuals(rep: GraphRep, block=None):
+    """u(g) t(e) - t(alpha_g delta_e) u(g) for each g and edge e, then u(g)
+    proj(v) - proj(alpha_g v) u(g) for each g and vertex v, alpha_g delta_e
+    the e-th column of the edge unitary W_g; each product taken on the
+    operators' extents.  block (r, c), the whole space by default, is a
+    leading block outside which every edge operator is zero, every unitary
+    and projection being block diagonal at r and at c: the edge residuals
+    are then zero outside their leading r x c block and the vertex
+    residuals outside their leading m x m block, m = min(r, c), and those
+    blocks are what is formed (each kind of one shape, in a stack of its
+    own)."""
+    r, c = block or (rep.dim, rep.dim)
+    m = min(r, c)
+    edges, verts, action = rep.graph.edges, rep.graph.vertices, rep.action
+    ext_t = _edge_extents(rep)
+    ops = _edge_blocks(rep, ext_t, r, c)
+    projs = {v: _leading(rep.proj[v], _extent(rep.proj[v]), m, m) for v in verts}
+    Ws = action.edge_unitaries
+    units = [(rep.unitaries[g], _extent(rep.unitaries[g])) for g in range(len(Ws))]
+    for W, (U, ext_u) in zip(Ws, units):
+        left, right = _leading(U, ext_u, r, r), _leading(U, ext_u, c, c)
+        for j, e in enumerate(edges):
+            moved = _extent_bound(ext_t[f.eid] for f, x in zip(edges, W[:, j]) if x != 0)
+            moved_op = _leading(_edge_sum(rep, W[:, j], (r, c)), moved, r, c)
+            yield _lead_product(*left, *ops[e.eid]) - _lead_product(*moved_op, *right)
+    for g, (U, ext_u) in enumerate(units):
+        corner = _leading(U, ext_u, m, m)
+        for v in verts:
+            gv = action.perm_vertex(g, v)
+            yield _lead_product(*corner, *projs[v]) - _lead_product(*projs[gv], *corner)
 
 
 def _max_norm(rep: GraphRep, residuals, embed) -> float:
@@ -244,13 +296,13 @@ def row_contraction_check(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> RowCon
     Toeplitz residuals over e, f in the fiber has no eigenvalue > eig_clip.
     A block with a non-finite entry (products of huge entries overflow) has
     margin nan and fails."""
-    results, extents = [], _edge_extents(rep)
+    results, blocks = [], _edge_blocks(rep, _edge_extents(rep))
     for v in rep.graph.vertices:
         fiber = [rep.graph.edge(e) for e in range_fiber(rep.graph, v)]
         if not fiber:
             continue
         with np.errstate(over="ignore", invalid="ignore"):   # overflow is checked below
-            H = _hermitian_part(np.block([[_toeplitz_residual(rep, e, f, extents) for f in fiber]
+            H = _hermitian_part(np.block([[_toeplitz_residual(rep, e, f, blocks) for f in fiber]
                                           for e in fiber]))
         if not np.isfinite(H).all():
             margin = float("nan")
@@ -279,15 +331,42 @@ def ck_defect(rep: GraphRep, embed=None) -> float:
     return _max_norm(rep, _ck_residuals(rep, _edge_extents(rep)), embed)
 
 
-def _corner_defects(rep: GraphRep, sizes) -> dict:
-    """{k: [toeplitz, ck]} on the leading k coordinates for each k in sizes,
-    all read from one pass over the residuals: E* R E is R[:k, :k] exactly
-    for E = np.eye(rep.dim, k), and k = rep.dim gives the full defects.
-    Both kinds of residual are formed on the edge extents found here once."""
-    sizes, extents = list(sizes), _edge_extents(rep)
-    toeplitz = _max_op_norms(_toeplitz_residuals(rep, extents), sizes)
-    ck = _max_op_norms(_ck_residuals(rep, extents), sizes)
-    return {k: [t, c] for k, t, c in zip(sizes, toeplitz, ck)}
+def _corner_defects(rep: GraphRep, sizes, block=None) -> dict:
+    """{k: [toeplitz, ck]} on the leading k coordinates for each k <= rep.dim
+    in sizes, all read from one pass over the residuals: E* R E is R[:k, :k]
+    exactly for E = np.eye(rep.dim, k), and k = rep.dim gives the full
+    defects.  Both kinds of residual are formed on the edge extents found
+    here once.
+
+    block (r, c), the whole space by default, is a leading block outside
+    which every edge operator is zero, every projection being block
+    diagonal at r and at c with a 0/1 diagonal trailing block (as _extend
+    builds them: I on the vertex's new summands).  Then each Toeplitz
+    residual is blockdiag(its leading c x c block, -delta_ef proj(s(e))'s
+    trailing block) and each Cuntz-Krieger one blockdiag(its leading r x r
+    block, proj(v)'s trailing block): only the leading blocks are formed,
+    and the tails are read off the projections (_blocked_max)."""
+    r, c = block or (rep.dim, rep.dim)
+    sizes, extents, graph = list(sizes), _edge_extents(rep), rep.graph
+    toeplitz = _blocked_max(_toeplitz_residuals(rep, extents, c), c, sizes,
+                            [rep.proj[v] for v in {e.src for e in graph.edges}])
+    ck = _blocked_max(_ck_residuals(rep, extents, r), r, sizes,
+                      [rep.proj[v] for v in finite_receivers(graph)])
+    return {k: [t, x] for k, t, x in zip(sizes, toeplitz, ck)}
+
+
+def _blocked_max(corners, m: int, sizes: list, tails: list) -> list:
+    """[max_i ||R_i[:k, :k]||_2 for k in sizes], each R_i blockdiag(corners_i,
+    D_i) split at m, D_i zero or plus or minus the trailing block of one of
+    the tails, each a 0/1 diagonal past m: the corners normed in one pass at
+    their distinct sizes, and past m the tail's norm, 1.0 if a tail has a 1
+    in [m, k) and else 0, joined by np.maximum, which keeps a NaN corner
+    NaN."""
+    inner = sorted({min(k, m) for k in sizes})
+    norms = dict(zip(inner, _max_op_norms(corners, inner)))
+    return [norms[k] if k <= m else float(np.maximum(
+        norms[m], 1.0 if any(P.diagonal()[m:k].any() for P in tails) else 0.0))
+        for k in sizes]
 
 
 def covariance_defect(rep: GraphRep) -> float:
@@ -296,24 +375,7 @@ def covariance_defect(rep: GraphRep) -> float:
     column of the edge unitary W_g."""
     if rep.action is None or rep.unitaries is None:
         raise ConfigurationError("covariance defect needs an action and unitaries")
-
-    edges, verts = rep.graph.edges, rep.graph.vertices
-    ext_t, ext_p = _edge_extents(rep), {v: _extent(rep.proj[v]) for v in verts}
-
-    def residuals():
-        for g, W in enumerate(rep.action.edge_unitaries):
-            U = rep.unitaries[g]
-            ext_u = _extent(U)
-            for j, e in enumerate(edges):
-                moved = _extent_bound(ext_t[f.eid] for f, c in zip(edges, W[:, j]) if c != 0)
-                yield (_lead_product(U, ext_u, rep.edge_op[e.eid], ext_t[e.eid])
-                       - _lead_product(_edge_sum(rep, W[:, j]), moved, U, ext_u))
-            for v in verts:
-                gv = rep.action.perm_vertex(g, v)
-                yield (_lead_product(U, ext_u, rep.proj[v], ext_p[v])
-                       - _lead_product(rep.proj[gv], ext_p[gv], U, ext_u))
-
-    return _max_op_norms(residuals())[0]
+    return _max_op_norms(_covariance_residuals(rep))[0]
 
 
 def induced_regular_rep(rep: GraphRep, a: GaugeAction) -> GraphRep:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrdil.cli
+import corrdil.dilation
 from corrdil import (
     FiniteGroup,
     GaugeAction,
@@ -316,6 +317,63 @@ def test_dilate_gate_failure_prints_the_validate_checks(tmp_path, capsys, covari
                          {"record": "result", "exit_status": 1}]
 
 
+def _check_rows(rows) -> list:
+    return [r for r in rows if r["record"] == "check"]
+
+
+@pytest.mark.parametrize("mode", ["isometric", "cp"])
+def test_dilate_gates_the_final_covariance(tmp_path, capsys, monkeypatch, cuntz2_zero_file, mode):
+    # a covariant file gets one gated line read from the last stage row; a
+    # drift of 1.6e-8 > eps there fails the run
+    path = _covariant_file(tmp_path, 1.0)
+    argv = ["dilate", "--mode", mode, "--format", "records"]
+    assert main(argv + [path]) == 0
+    rows = _records(capsys)
+    line = next(r for r in rows if r.get("name") == "final-covariance-defect")
+    assert line["value"] == [r for r in rows if r["record"] == "stage"][-1]["covariance"]
+    assert line["value"] <= 1e-12 and line["threshold"] == 1e-8 and line["passed"]
+    assert main(argv + [cuntz2_zero_file]) == 0
+    assert "final-covariance-defect" not in {r["name"] for r in _check_rows(_records(capsys))}
+
+    monkeypatch.setattr(corrdil.dilation, "_covariance_residuals",
+                        lambda rep, block=None: iter([np.full((1, 1), 1.6e-8)]))
+    assert main(argv + [path]) == 1
+    checks = _check_rows(_records(capsys))
+    assert checks[-2:] == [
+        {"record": "check", "name": "pipeline.converged", "value": 0.0, "threshold": None,
+         "passed": False},
+        {"record": "check", "name": "final-covariance-defect", "value": 1.6e-8,
+         "threshold": 1e-8, "passed": False},
+    ]
+
+
+def test_dilate_gate_failure_names_a_failing_action(tmp_path, capsys):
+    # the input fails its row check and its action is not unitary: dilate
+    # prints validate's lines but the graph's and the passing action lines,
+    # and measures no covariance against the failing action
+    a = NON_UNITARY
+    rep = GraphRep(a.graph, 1, {"v": np.eye(1)}, {"e0": np.array([[2.0]]), "e1": np.zeros((1, 1))},
+                   action=a, unitaries={0: np.eye(1), 1: np.eye(1)})
+    path = str(tmp_path / "bad-action.json")
+    save_problem(ProblemFile(rep.graph, a, rep, Tolerance()), path)
+    assert main(["validate", path, "--format", "records"]) == 1
+    validated = _records(capsys)
+    assert main(["dilate", "--mode", "cp", path, "--format", "records"]) == 1
+    rows = _records(capsys)
+    names = [r["name"] for r in _check_rows(rows)]
+    assert names[0] == "action.module-automorphism-axioms"
+    assert "covariance-defect" not in names
+    assert [r for r in _check_rows(rows) if not r["name"].startswith("action.")] == [
+        r for r in _check_rows(validated) if not r["name"].startswith(("graph.", "action."))]
+    assert [r for r in _check_rows(rows) if r["name"].startswith("action.")] == [
+        r for r in _check_rows(validated) if r["name"].startswith("action.") and not r["passed"]]
+    assert [r["text"] for r in rows if r["record"] == "note"] == [
+        "action axioms: bucket matrix (1, 'v', 'v') is not unitary",
+        "covariance-defect not measured: the action failed its checks",
+        "input failed validation; pipeline not run",
+    ]
+
+
 # ---------------------------------------------------------------- induce
 
 def test_induce_trivial_group_identity(tmp_path, capsys):
@@ -373,7 +431,8 @@ def _z3_rotation_file(tmp_path) -> str:
 
 @pytest.mark.parametrize("source, induced_dim, code", [
     (_z3_rotation_file, 6, 0),
-    # the sample's entries near 1e300 give a covariance defect near 1e284
+    # the sample's entries near 1e300 overflow its row check: within the
+    # cap it fails validation (exit 1) and nothing is induced
     (lambda tmp_path: str(CANONICAL_SAMPLE), 8, 1),
 ], ids=["z3-dim2", "canonical-sample"])
 def test_induce_checks_the_dimension_cap(tmp_path, capsys, source, induced_dim, code):
@@ -387,7 +446,28 @@ def test_induce_checks_the_dimension_cap(tmp_path, capsys, source, induced_dim, 
     assert not out_path.exists()
 
     assert main(argv + ["--max-dim", str(induced_dim)]) == code
-    assert load_problem(out_path).representation.dim == induced_dim
+    if code == 0:
+        assert load_problem(out_path).representation.dim == induced_dim
+    else:
+        assert not out_path.exists()
+
+
+def test_induce_gates_its_input(tmp_path, capsys):
+    # proj(v) = 0.5 is no projection and t(e0) = 3 no contraction: induce
+    # prints validate's failing lines and induces nothing
+    g = cuntz_graph(1)
+    rep = GraphRep(g, 1, {"v": 0.5 * np.eye(1)}, {"e0": 3.0 * np.eye(1)})
+    path, out_path = str(tmp_path / "loop.json"), tmp_path / "induced.json"
+    save_problem(ProblemFile(g, trivial_action(g), rep, Tolerance()), path)
+    assert main(["validate", path, "--format", "records"]) == 1
+    failing = [r for r in _records(capsys) if r["record"] == "check" and not r["passed"]]
+    assert main(["induce", path, "--out", str(out_path), "--format", "records"]) == 1
+    assert _records(capsys)[1:] == failing + [
+        {"record": "note", "text": "input failed validation; induction not run"},
+        {"record": "result", "exit_status": 1},
+    ]
+    assert {r["name"] for r in failing} >= {"projection[v]", "row-contraction[v]"}
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------- counterexample

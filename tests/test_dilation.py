@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import corrdil.dilation
 import corrdil.linalg
+from corrdil.representation import _corner_defects
 from corrdil import (
     DEFAULT_TOL,
     ContractivityError,
@@ -56,6 +57,7 @@ from helpers import (
     truncated_vertex_swap,
     unitary_cycle_oracle,
     z2_loop_swap,
+    z2_vertex_swap,
     z3_cycle_rotation,
     z3_loop_rotation,
     zero_rep,
@@ -680,7 +682,7 @@ def test_cp_dilate_nan_corner_does_not_converge(monkeypatch):
     # max([0.0, nan]) is 0.0: the stopping rule must read each corner, so
     # that a NaN Cuntz-Krieger corner does not end the run as converged
     monkeypatch.setattr(corrdil.dilation, "_corner_defects",
-                        lambda rep, sizes: {k: [0.0, float("nan")] for k in sizes})
+                        lambda rep, sizes, block=None: {k: [0.0, float("nan")] for k in sizes})
     report = cp_dilate(slow_loop(), 2)
     assert not report.converged
     assert [s.kind for s in report.steps] == ["ck-step", "isometric-step", "compression"] * 2
@@ -1001,3 +1003,145 @@ def test_steps_and_reports_keep_read_only_embeds():
     given[0, 0] = 0.0
     assert made.embed[0, 0] == 1.0 and rebuilt.embed[0, 0] == 1.0
     assert rebuilt.embed.dtype == complex and not rebuilt.embed.flags.writeable
+
+
+# ---------------------------------------------------------------- stage measurement
+
+STAGE_ACTIONS = {   # None: a random graph's representation, without an action
+    "none": None,
+    "z2-loop-swap": z2_loop_swap(),
+    "z2-loop-mixer": z2_loop_swap(mixer=True),
+    "z2-vertex-swap": z2_vertex_swap()[1],
+    "z3-cycle-rotation": z3_cycle_rotation()[1],
+    "z3-loop-rotation": z3_loop_rotation(),
+}
+STEPS = {"isometric": one_step_isometric, "ck": one_step_ck}
+
+
+def stage_steps(rng, name: str, dim: int, kinds, max_dim: int = 160) -> list:
+    """The steps named by kinds applied in turn to a random representation
+    (induced from one of dimension dim under the named action), up to the
+    first that the cap stops."""
+    a = STAGE_ACTIONS[name]
+    if a is None:
+        rep = random_cc_rep(rng, random_graph(rng), dim)
+    else:
+        rep = induced_regular_rep(random_cc_rep(rng, a.graph, dim), a)
+    steps = []
+    for kind in kinds:
+        try:
+            steps.append(STEPS[kind](rep, Tolerance(max_dim=max_dim)))
+        except ResourceCapError:
+            break
+        rep = steps[-1].rep_after
+    return steps
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(sorted(STAGE_ACTIONS)),
+       dim=st.integers(1, 12), kinds=st.lists(st.sampled_from(sorted(STEPS)), min_size=1, max_size=3))
+def test_stage_measurement_matches_the_dense_defects(seed, name, dim, kinds):
+    # each step output is measured on the block its step can couple, with
+    # the +-I tail read off the projections; the values are the dense
+    # residuals' norms, at the step's input, the whole stage and any corner
+    rng = np.random.default_rng(seed)
+    first = None
+    for step in stage_steps(rng, name, dim, kinds):
+        out = step.rep_after
+        first = first or step.old_dim
+        sizes = {first, step.old_dim, out.dim, int(rng.integers(1, out.dim + 1))}
+        stages = []
+        corners = corrdil.dilation._measure(stages, step.kind, out, step.old_dim, sizes)
+        dense = _corner_defects(out, sizes)
+        for k in sizes:
+            assert corners[k] == pytest.approx(dense[k], rel=0, abs=1e-12), (step.kind, k)
+        if out.covariant:
+            assert stages[-1].covariance == pytest.approx(covariance_defect(out), rel=0, abs=1e-12)
+        else:
+            assert stages[-1].covariance is None
+
+
+@pytest.mark.parametrize("kind", sorted(STEPS))
+def test_stage_measurement_keeps_an_overflowed_corner_nan(kind):
+    # the real loop's step output with its edge operators scaled by 1e200:
+    # the corner residuals overflow to inf, and the whole stage's value must
+    # be NaN on both paths, not the tail's 1.0 (Python's max(1.0, nan))
+    step = STEPS[kind](GraphRep(cuntz_graph(1), 1, {"v": np.eye(1)}, {"e0": np.array([[0.5]])}))
+    out = step.rep_after
+    big = GraphRep(out.graph, out.dim, out.proj, {e: 1e200 * T for e, T in out.edge_op.items()})
+    sizes = {1, big.dim}
+    corners = corrdil.dilation._measure([], step.kind, big, step.old_dim, sizes)
+    dense = _corner_defects(big, sizes)
+    for k in sizes:
+        assert np.isnan(corners[k]).all() and np.isnan(dense[k]).all()
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_ACTIONS))
+@pytest.mark.parametrize("dim", [3, 12])
+def test_step_outputs_are_zero_where_the_measurement_skips(name, dim):
+    # the block structure _extend documents and _measure relies on, exactly
+    for step in stage_steps(rng_for(1500 + dim), name, dim, ["isometric", "ck", "isometric", "ck"]):
+        out, k = step.rep_after, step.old_dim
+        for T in out.edge_op.values():
+            assert not (T[:, k:] if step.kind == "isometric-step" else T[k:, :]).any()
+        for M in [*out.proj.values(), *(out.unitaries or {}).values()]:
+            assert not M[:k, k:].any() and not M[k:, :k].any()
+        for P in out.proj.values():
+            tail = P[k:, k:]
+            assert np.array_equal(tail, np.diag(np.diag(tail)))
+            assert set(np.diag(tail).tolist()) <= {0, 1}
+        if out.covariant:
+            a = out.action
+            for g, U in out.unitaries.items():
+                for v in out.graph.vertices:
+                    R = U @ out.proj[v] - out.proj[a.perm_vertex(g, v)] @ U
+                    assert not R[k:, k:].any()
+
+
+def test_only_the_last_step_is_measured_at_the_callers_sizes(monkeypatch):
+    # the leading blocks the pipelines read are those of the last step; a
+    # step before it is measured at its own corner and dimension only
+    calls = []
+    measure = corrdil.dilation._corner_defects
+    monkeypatch.setattr(corrdil.dilation, "_corner_defects", lambda rep, sizes, block=None: (
+        calls.append(sorted(set(sizes))) or measure(rep, sizes, block)))
+    rep = slow_loop()
+    dims = [s.new_dim for s in iterate_coextension(rep, 3).steps[:3]]
+    assert calls == [[2, dims[0]], [dims[0], dims[1]], [2, dims[1], dims[2]]]
+    calls.clear()
+    dims = [s.new_dim for s in cp_dilate(rep, 2, tol=Tolerance(eig_clip=1e-6)).steps]
+    assert calls == [[2, dims[0]], [2, dims[0], dims[1]],
+                     [dims[1], dims[3]], [2, dims[1], dims[3], dims[4]]]
+
+
+def test_capped_coextension_measures_its_last_stage_on_the_original_space():
+    # the cap stops the third step, so the last measured stage was not the
+    # last construction's: its compression row is still the original corner
+    rep = slow_loop()
+    report = iterate_coextension(rep, 3, tol=Tolerance(max_dim=7))
+    assert report.capped and [s.kind for s in report.steps] == [
+        "isometric-step", "isometric-step", "compression"]
+    last = report.steps[-1]
+    assert [last.corner_toeplitz, last.corner_ck] == _corner_defects(report.final_rep, [2])[2]
+
+
+def _drifted(value: float):
+    """A covariance residual stand-in whose only residual has norm value."""
+    return lambda rep, block=None: iter([np.full((1, 1), value)])
+
+
+@pytest.mark.parametrize("pipeline", [
+    pytest.param(lambda rep: iterate_coextension(rep, 2), id="coext"),
+    pytest.param(lambda rep: cp_dilate(rep, 4), id="cp"),
+])
+def test_covariance_gates_convergence(monkeypatch, pipeline):
+    # a last-stage covariance of 1.6e-8 > eps (the size of the drift a
+    # square-root rounding once left) or NaN must not read as converged
+    rep = induced_regular_rep(random_cc_rep(rng_for(1510), z2_loop_swap().graph, 2), z2_loop_swap())
+    report = pipeline(rep)
+    assert report.converged and report.steps[-1].covariance <= DEFAULT_TOL.eps
+    for value, covariance in ((1.6e-8, 1.6e-8), (np.inf, np.nan)):
+        monkeypatch.setattr(corrdil.dilation, "_covariance_residuals", _drifted(value))
+        report = pipeline(rep)
+        assert report.steps[-1].covariance == pytest.approx(covariance, nan_ok=True)
+        assert not report.converged and not report.capped

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import corrdil.gauge
 from corrdil import (
     CheckResult,
     DirectedGraph,
@@ -193,6 +194,36 @@ def test_verify_action_rejects_an_identity_that_moves_a_vertex(table, perms, edg
     res = verify_action(act)
     assert not res.ok
     assert res.reason == reason
+
+
+def _swap_with_element_1_buckets(matrix, truncated=("v1",)) -> GaugeAction:
+    """truncated_vertex_swap with each of element 1's bucket matrices set to matrix."""
+    a = truncated_vertex_swap(truncated)
+    return GaugeAction(a.group, a.graph, a.vertex_perm,
+                       {key: matrix for key in a.bucket_unitary if key[0] == 1})
+
+
+@pytest.mark.parametrize("action, reason", [
+    # a failing unitarity residual comes before the truncation check
+    (_swap_with_element_1_buckets(np.array([[2.0]])),
+     "bucket matrix (1, 'v1', 'v0') is not unitary"),
+    # i is unitary and the truncation check fails before the homomorphism
+    # check at (1, 1), where i * i = -1 is not the identity's 1
+    (_swap_with_element_1_buckets(np.array([[1j]])), "element 1 moves a truncated vertex"),
+    (_swap_with_element_1_buckets(np.array([[1j]]), truncated=()),
+     "bucket matrices fail homomorphism at (1, 1), bucket ('v1', 'v0')"),
+    (z3_loop_rotation(), ""),
+], ids=["unitarity-first", "truncation-first", "homomorphism", "passing"])
+def test_verify_action_norms_its_residuals_in_one_pass(monkeypatch, action, reason):
+    # every residual goes through one stacked _op_norms call, and the
+    # reason is still that of the first failing check in the loop order
+    calls = []
+    norms = corrdil.gauge._op_norms
+    monkeypatch.setattr(corrdil.gauge, "_op_norms",
+                        lambda residuals: calls.append(1) or norms(residuals))
+    res = verify_action(action)
+    assert (res.ok, res.reason) == (reason == "", reason)
+    assert len(calls) == 1
 
 
 def test_missing_bucket_matrix_rejected():
