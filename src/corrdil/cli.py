@@ -11,6 +11,7 @@ failed, 2 input error, 3 dimension cap reached (partial results printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,7 +43,7 @@ from .representation import (
     validate,
 )
 
-__all__ = ["Report", "render", "main", "build_parser"]
+__all__ = ["Report", "render", "main"]
 
 MOBIUS_EXPECTED = 3.0 * np.sqrt(10.0) / 16.0
 GAP_TOL = 1e-9
@@ -356,7 +357,10 @@ def cmd_counterexample(args) -> Report:
 
 # ---------------------------------------------------------------- entry point
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at first use and shared by every
+    later main call: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="corrdil",
         description="Validation and constructive dilation of graph-correspondence representations.",
@@ -410,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
     except (CorrdilError, OSError, ValueError) as exc:

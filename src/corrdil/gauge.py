@@ -23,7 +23,6 @@ __all__ = [
     "GaugeAction",
     "verify_group",
     "verify_action",
-    "trivial_action",
 ]
 
 
@@ -197,11 +196,6 @@ class GaugeAction:
     def bucket_matrix(self, g: int, v: str, w: str) -> np.ndarray:
         self.group.check_element(g)
         return self.bucket_unitary[(g, v, w)]
-
-
-def trivial_action(graph: DirectedGraph) -> GaugeAction:
-    group = FiniteGroup.trivial()
-    return GaugeAction(group, graph, ({v: v for v in graph.vertices},), {})
 
 
 def _action_residuals(a: GaugeAction):

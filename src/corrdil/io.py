@@ -383,8 +383,8 @@ def _action_to_json(a: GaugeAction) -> dict:
 def _rep_to_json(rep: GraphRep) -> dict:
     out = {
         "dim": rep.dim,
-        "proj": rep.proj,
-        "edge_op": rep.edge_op,
+        "proj": dict(rep.proj),
+        "edge_op": dict(rep.edge_op),
     }
     if rep.unitaries is not None:
         out["unitaries"] = [rep.unitaries[g] for g in range(rep.action.group.order)]

@@ -7,6 +7,8 @@ representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,9 +57,10 @@ class GraphRep:
     group unitaries u(g), all dim x dim matrices on a common space H.
 
     Shapes and finite entries are enforced at construction, which keeps
-    the matrices read-only (linalg._frozen); the numeric requirements
-    (idempotence, orthogonality, module covariance, unitarity,
-    multiplicativity) are measured by :func:`validate`.
+    the matrices read-only (linalg._frozen) and their mappings read-only
+    views; the numeric requirements (idempotence, orthogonality, module
+    covariance, unitarity, multiplicativity) are measured by
+    :func:`validate`.
     """
 
     graph: DirectedGraph
@@ -83,19 +86,48 @@ class GraphRep:
         if unitaries is not None:
             if self.action is None:
                 raise StructureError("unitaries require an action")
-            unitaries = {
+            unitaries = MappingProxyType({
                 int(g): _finite_matrix(f"unitaries[{g}]", U, d) for g, U in unitaries.items()
-            }
+            })
             if set(unitaries.keys()) != set(range(self.action.group.order)):
                 raise StructureError("unitaries must cover every group element")
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "proj", proj)
-        object.__setattr__(self, "edge_op", ops)
+        object.__setattr__(self, "proj", MappingProxyType(proj))
+        object.__setattr__(self, "edge_op", MappingProxyType(ops))
         object.__setattr__(self, "unitaries", unitaries)
+
+    def __reduce__(self):
+        # read-only views do not pickle (nor deep-copy): rebuild from dicts
+        unitaries = None if self.unitaries is None else dict(self.unitaries)
+        return GraphRep, (self.graph, self.dim, dict(self.proj), dict(self.edge_op), self.action,
+                          unitaries)
 
     @property
     def covariant(self) -> bool:
         return self.action is not None and self.unitaries is not None
+
+    @cached_property
+    def _row_margins(self) -> tuple:
+        """(vertex, margin) for each vertex with a nonempty range fiber, the
+        margin the most positive eigenvalue of the fiber's block of Toeplitz
+        residuals, nan for a block with a non-finite entry.  No tolerance
+        enters, so every row_contraction_check of this representation reads
+        the margins found here once."""
+        out, blocks = [], _edge_blocks(self, _edge_extents(self))
+        for v in self.graph.vertices:
+            fiber = [self.graph.edge(e) for e in range_fiber(self.graph, v)]
+            if not fiber:
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):   # overflow is checked below
+                H = _hermitian_part(np.block([[_toeplitz_residual(self, e, f, blocks) for f in fiber]
+                                              for e in fiber]))
+            if not np.isfinite(H).all():
+                margin = float("nan")
+            else:
+                w = np.linalg.eigvalsh(H)
+                margin = float(w.max()) if w.size else 0.0   # an empty block is the zero operator
+            out.append((v, margin))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -295,22 +327,10 @@ def row_contraction_check(rep: GraphRep, tol: Tolerance = DEFAULT_TOL) -> RowCon
     """Per vertex with a nonempty fiber, check that the block matrix of the
     Toeplitz residuals over e, f in the fiber has no eigenvalue > eig_clip.
     A block with a non-finite entry (products of huge entries overflow) has
-    margin nan and fails."""
-    results, blocks = [], _edge_blocks(rep, _edge_extents(rep))
-    for v in rep.graph.vertices:
-        fiber = [rep.graph.edge(e) for e in range_fiber(rep.graph, v)]
-        if not fiber:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):   # overflow is checked below
-            H = _hermitian_part(np.block([[_toeplitz_residual(rep, e, f, blocks) for f in fiber]
-                                          for e in fiber]))
-        if not np.isfinite(H).all():
-            margin = float("nan")
-        else:
-            w = np.linalg.eigvalsh(H)
-            margin = float(w.max()) if w.size else 0.0   # an empty block is the zero operator
-        results.append(VertexContraction(vertex=v, margin=margin, passed=margin <= tol.eig_clip))
-    return RowContractionReport(tuple(results))
+    margin nan and fails.  The margins are rep's own, found at its first
+    check, so a later check under any tolerance only compares."""
+    return RowContractionReport(tuple(VertexContraction(vertex=v, margin=m, passed=m <= tol.eig_clip)
+                                      for v, m in rep._row_margins))
 
 
 def toeplitz_defect(rep: GraphRep, embed=None) -> float:

@@ -138,6 +138,11 @@ LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4,
 
 
 
+def trivial_action(graph: DirectedGraph) -> GaugeAction:
+    """The trivial group acting on graph: every vertex and edge fixed."""
+    return GaugeAction(FiniteGroup.trivial(), graph, ({v: v for v in graph.vertices},), {})
+
+
 def z2_loop_swap(graph: DirectedGraph | None = None, mixer: bool = False) -> GaugeAction:
     """Z_2 on the two-loop graph: identity on the vertex, swapping (or
     Hadamard-mixing) the loop bucket."""

@@ -14,7 +14,7 @@ LAYERS = ("linalg", "graph", "correspondence", "gauge", "representation",
           "dilation", "disc", "io", "cli")
 
 REMOVED = ("psi_t", "theta", "FiniteRankOp", "integrated_form", "shift_ampliation",
-           "apply_rho", "compress", "katsura_ideal_support")
+           "apply_rho", "compress", "katsura_ideal_support", "trivial_action", "build_parser")
 
 
 @pytest.mark.parametrize("name", ("corrdil",) + tuple(f"corrdil.{m}" for m in LAYERS))
@@ -43,7 +43,7 @@ def test_root_republishes_each_layer_list():
     assert set(io_names) <= set(corrdil.io.__all__)
     expected = [name for m in layers for name in importlib.import_module(f"corrdil.{m}").__all__]
     expected += io_names + ["__version__"]
-    assert len(expected) == len(set(expected)) == 73
+    assert len(expected) == len(set(expected)) == 72
     assert set(corrdil.__all__) == set(expected)
     namespace = {}
     exec("from corrdil import *", namespace)

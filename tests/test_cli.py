@@ -23,7 +23,6 @@ from corrdil import (
     induced_regular_rep,
     load_problem,
     save_problem,
-    trivial_action,
 )
 from corrdil.cli import main
 from helpers import (
@@ -31,6 +30,7 @@ from helpers import (
     cuntz_graph,
     random_cc_rep,
     rng_for,
+    trivial_action,
     truncated_vertex_swap,
     z2_loop_swap,
     z3_loop_rotation,
@@ -468,6 +468,58 @@ def test_induce_gates_its_input(tmp_path, capsys):
     ]
     assert {r["name"] for r in failing} >= {"projection[v]", "row-contraction[v]"}
     assert not out_path.exists()
+
+
+# ---------------------------------------------------------------- one parser
+
+def test_main_calls_leak_nothing_into_later_calls(tmp_path, capsys, monkeypatch):
+    # every main call parses with one cached parser.  Each call that sets
+    # --out, --format records, --tol, --eig-clip, --steps or --max-dim, and
+    # a call argparse rejects, is followed by calls that omit them: those
+    # see what a fresh parser gives, write no file, print a text table and
+    # read the file's tolerances
+    parser = corrdil.cli._parser()
+    assert corrdil.cli._parser() is parser
+    seen, real = [], parser.parse_args
+
+    def recorded(argv):
+        seen.append((argv, real(argv)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(parser, "parse_args", recorded)
+    a = z2_loop_swap()
+    rep = random_cc_rep(rng_for(960), a.graph, dim=3)
+    path, out = str(tmp_path / "in.json"), tmp_path / "out.json"
+    save_problem(ProblemFile(a.graph, a, rep, Tolerance(eps=1e-9, eig_clip=1e-11, max_dim=512)), path)
+    plain = [["validate", path], ["dilate", "--mode", "isometric", path], ["induce", path]]
+    loud = ["--out", str(out), "--format", "records", "--tol", "1e-3", "--eig-clip", "1e-4"]
+
+    def run_plain():
+        outs = []
+        for argv in plain:
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+            assert outs[-1].startswith("command: ")   # a text table, not records
+        assert [f.name for f in tmp_path.iterdir()] == ["in.json"]
+        return outs
+
+    before = run_plain()
+    assert all("1.0e-09" in text and "1.0e-03" not in text for text in before[::2])
+    assert main(["dilate", "--mode", "isometric", path, "--steps", "2", "--max-dim", "21"] + loud) == 0
+    assert [r["kind"] for r in _records(capsys) if r["record"] == "stage"] == [
+        "isometric-step", "isometric-step", "compression"]
+    out.unlink()
+    assert run_plain() == before
+    assert main(["induce", path, "--max-dim", "6"] + loud) == 0   # would cap the plain dilate
+    assert _records(capsys)[-1] == {"record": "result", "exit_status": 0}
+    out.unlink()
+    with pytest.raises(SystemExit) as rejected:
+        main(["validate", path, "--format", "xml", "--tol", "1e-3"])
+    assert rejected.value.code == 2
+    capsys.readouterr()
+    assert run_plain() == before
+    for argv, args in seen:
+        assert vars(args) == vars(corrdil.cli._parser.__wrapped__().parse_args(argv))
 
 
 # ---------------------------------------------------------------- counterexample

@@ -19,7 +19,6 @@ from corrdil import (
     delta_edge,
     delta_vertex,
     inner_product,
-    trivial_action,
     verify_action,
     verify_group,
 )
@@ -28,6 +27,7 @@ from helpers import (
     cuntz_graph,
     random_corr_element,
     rng_for,
+    trivial_action,
     truncated_vertex_swap,
     z2_loop_swap,
     z2_vertex_swap,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import re
 import tracemalloc
 
@@ -16,9 +19,11 @@ from corrdil import (
     GaugeAction,
     GraphRep,
     StructureError,
+    Tolerance,
     apply_t,
     ck_defect,
     covariance_defect,
+    cp_dilate,
     delta_edge,
     induced_regular_rep,
     iterate_coextension,
@@ -27,7 +32,6 @@ from corrdil import (
     op_norm,
     row_contraction_check,
     toeplitz_defect,
-    trivial_action,
     validate,
 )
 from corrdil.linalg import (
@@ -45,6 +49,7 @@ from helpers import (
     random_cc_rep,
     random_graph,
     rng_for,
+    trivial_action,
     z2_loop_swap,
     z2_vertex_swap,
     z3_cycle_rotation,
@@ -171,6 +176,19 @@ def test_apply_t_gauge_equivariance():
 
 # ---------------------------------------------------------------- contraction checks
 
+@pytest.fixture()
+def eigvalsh_shapes(monkeypatch):
+    """The shapes of the matrices np.linalg.eigvalsh is asked for, in order."""
+    shapes, real = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
+
+
 def test_row_contraction_margin_half():
     report = row_contraction_check(loop_rep(0.5))
     assert report.passed
@@ -185,7 +203,7 @@ def test_row_contraction_zero_rep():
     assert row_contraction_check(zero_rep(cuntz_graph(2), 2)).passed
 
 
-def test_row_contraction_fails_an_overflowing_fiber():
+def test_row_contraction_fails_an_overflowing_fiber(eigvalsh_shapes):
     # t(big)* t(big) overflows: that fiber's margin is nan and fails, with no
     # eigensolver run on it; the other fiber is still measured
     g = DirectedGraph(("v", "w"), (("big", "v", "v"), ("l", "w", "w")))
@@ -198,6 +216,12 @@ def test_row_contraction_fails_an_overflowing_fiber():
     assert w.passed and w.margin == 0.0   # the residual is -0.75 on w's range, 0 off it
     assert not report.passed
     assert np.isnan(report.margin)
+    # the nan margin is kept as found: read again under any tolerance it
+    # still fails, and only w's fiber was ever eigensolved
+    again = row_contraction_check(rep, Tolerance(eig_clip=1e300))
+    assert np.isnan(again.per_vertex[0].margin) and not again.per_vertex[0].passed
+    assert again.per_vertex[1].passed and not again.passed
+    assert eigvalsh_shapes == [(2, 2)]
     # the report's margin is nan whichever vertex overflows, first or last
     g = DirectedGraph(("w", "v"), (("l", "w", "w"), ("big", "v", "v")))
     report = row_contraction_check(GraphRep(g, 2, rep.proj, rep.edge_op))
@@ -218,6 +242,68 @@ def test_row_contraction_dimension_zero():
     report = row_contraction_check(empty_rep())
     assert report.passed and report.margin == 0.0
     assert [c.vertex for c in report.per_vertex] == ["v"]
+
+
+def slightly_expansive_rep() -> GraphRep:
+    # t(a) = sqrt(1 + 1e-6) on v's range, so v's margin is about 1e-6; w's
+    # loop is a strict contraction, margin 0 (-0.75 on w's range, 0 off it)
+    g = DirectedGraph(("v", "w"), (("a", "v", "v"), ("b", "w", "w")))
+    P, Q = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return GraphRep(g, 2, {"v": P, "w": Q}, {"a": np.sqrt(1 + 1e-6) * P, "b": 0.5 * Q})
+
+
+def test_row_margins_are_found_once_per_representation(eigvalsh_shapes):
+    # the margins carry no tolerance: two checks whose eig_clip straddles v's
+    # margin disagree on v, yet each fiber is eigensolved once in all
+    rep = slightly_expansive_rep()
+    strict = row_contraction_check(rep, Tolerance(eig_clip=1e-8))
+    loose = row_contraction_check(rep, Tolerance(eig_clip=1e-4))
+    assert eigvalsh_shapes == [(2, 2), (2, 2)]
+    margin = strict.per_vertex[0].margin
+    assert 1e-8 < margin < 1e-4 and margin == pytest.approx(1e-6, rel=1e-6)
+    assert [c.margin for c in strict.per_vertex] == [c.margin for c in loose.per_vertex]
+    assert [c.passed for c in strict.per_vertex] == [False, True]
+    assert [c.passed for c in loose.per_vertex] == [True, True]
+    # a pipeline's entry check after the caller's adds no eigensolve (and
+    # passes: it raises no ContractivityError)
+    assert cp_dilate(rep, 3, tol=Tolerance(eig_clip=1e-4)).steps
+    assert len(eigvalsh_shapes) == 2
+
+
+def test_replaced_representation_finds_its_own_margins(eigvalsh_shapes):
+    rep = slightly_expansive_rep()
+    assert not row_contraction_check(rep).passed
+    shrunk = dataclasses.replace(rep, edge_op={**rep.edge_op, "a": 0.5 * rep.proj["v"]})
+    report = row_contraction_check(shrunk)
+    assert report.passed and report.margin == 0.0
+    assert len(eigvalsh_shapes) == 4
+    assert not row_contraction_check(rep).passed and len(eigvalsh_shapes) == 4
+
+
+def test_representation_mappings_are_read_only():
+    # the maps are read-only views of the representation's own copies: no
+    # item can be set or dropped, and the caller's dicts stay the caller's
+    g, act = z2_vertex_swap()
+    P, Q = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    S = np.array([[0.0, 1.0], [1.0, 0.0]])
+    proj, edge_op = {"v0": P, "v1": Q}, {"e0": S @ P, "e1": S @ Q}
+    rep = GraphRep(g, 2, proj, edge_op, action=act, unitaries={0: np.eye(2), 1: S})
+    for mapping, key in ((rep.proj, "v0"), (rep.edge_op, "e0"), (rep.unitaries, 1)):
+        with pytest.raises(TypeError):
+            mapping[key] = np.zeros((2, 2))
+        with pytest.raises(TypeError):
+            del mapping[key]
+    proj["v0"] = np.zeros((2, 2))
+    assert rep.proj["v0"][0, 0] == 1.0
+    assert GraphRep(g, 2, rep.proj, rep.edge_op).unitaries is None
+    # a pickled or deep-copied representation is rebuilt, read-only again
+    for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+        for mine, its in ((rep.proj, twin.proj), (rep.edge_op, twin.edge_op),
+                          (rep.unitaries, twin.unitaries)):
+            assert mine.keys() == its.keys()
+            assert all(np.array_equal(mine[k], its[k]) for k in mine)
+            with pytest.raises(TypeError):
+                its[next(iter(its))] = np.zeros((2, 2))
 
 
 # ---------------------------------------------------------------- defects
