@@ -70,8 +70,8 @@ class Report:
 
 # ---------------------------------------------------------------- rendering
 
-def _fmt_value(x: float) -> str:
-    return f"{x:15.8e}"
+def _fmt_value(x: float | None) -> str:
+    return f"{'-':>15}" if x is None else f"{x:15.8e}"
 
 
 def _check_row(c: CheckLine) -> str:
@@ -80,13 +80,13 @@ def _check_row(c: CheckLine) -> str:
     return f"{c.name:<48} {_fmt_value(c.value)} {thr}  {status}"
 
 
+# the measured StageRecord fields in table order, '_' written '-' in the text header
+_STAGE_COLUMNS = ("toeplitz", "ck", "covariance", "corner_toeplitz", "corner_ck")
+
+
 def _stage_row(i: int, s: StageRecord) -> str:
-    cov = _fmt_value(s.covariance) if s.covariance is not None else f"{'-':>15}"
-    return (
-        f"{i:>5}  {s.kind:<15} {s.new_dim:>6} {_fmt_value(s.toeplitz)}"
-        f" {_fmt_value(s.ck)} {cov} {_fmt_value(s.corner_toeplitz)}"
-        f" {_fmt_value(s.corner_ck)}"
-    )
+    return f"{i:>5}  {s.kind:<15} {s.new_dim:>6} " + " ".join(
+        _fmt_value(getattr(s, c)) for c in _STAGE_COLUMNS)
 
 
 def _render_text(report: Report) -> str:
@@ -95,10 +95,8 @@ def _render_text(report: Report) -> str:
         lines.append(f"{'check':<48} {'value':>15} {'threshold':>10}  status")
         lines.extend(_check_row(c) for c in report.checks)
     if report.stages:
-        lines.append(
-            f"{'stage':>5}  {'kind':<15} {'dim':>6} {'toeplitz':>15}"
-            f" {'ck':>15} {'covariance':>15} {'corner-toeplitz':>15} {'corner-ck':>15}"
-        )
+        lines.append(f"{'stage':>5}  {'kind':<15} {'dim':>6} "
+                     + " ".join(f"{c.replace('_', '-'):>15}" for c in _STAGE_COLUMNS))
         lines.extend(_stage_row(i + 1, s) for i, s in enumerate(report.stages))
     lines.extend(f"note: {n}" for n in report.notes)
     verdict = {0: "PASS", 1: "FAIL", 3: "CAPPED"}[report.exit_status]
@@ -125,17 +123,8 @@ def _render_records(report: Report) -> str:
         for c in report.checks
     )
     rows.extend(
-        {
-            "record": "stage",
-            "index": i + 1,
-            "kind": s.kind,
-            "dim": s.new_dim,
-            "toeplitz": _json_float(s.toeplitz),
-            "ck": _json_float(s.ck),
-            "covariance": _json_float(s.covariance),
-            "corner_toeplitz": _json_float(s.corner_toeplitz),
-            "corner_ck": _json_float(s.corner_ck),
-        }
+        {"record": "stage", "index": i + 1, "kind": s.kind, "dim": s.new_dim,
+         **{c: _json_float(getattr(s, c)) for c in _STAGE_COLUMNS}}
         for i, s in enumerate(report.stages)
     )
     rows.extend({"record": "note", "text": n} for n in report.notes)
@@ -277,15 +266,14 @@ def cmd_dilate(args) -> Report:
 
     if args.mode == "ck":
         pipe = iterate_ck(rep, n_steps=args.steps, tol=tol)
-        last = pipe.steps[-1].corner_ck if pipe.steps else ck_defect(rep)
-        report.checks.append(_gated("corner-ck-defect", last, tol.eps))
+        report.checks.append(_gated("corner-ck-defect", pipe.steps[-1].corner_ck, tol.eps))
     else:
         pipe = (iterate_coextension(rep, n_steps=args.steps, tol=tol) if args.mode == "isometric"
                 else cp_dilate(rep, max_rounds=args.rounds, tol=tol))
         report.checks.append(_flag("pipeline.converged", pipe.converged))
-        covariance = pipe.steps[-1].covariance if pipe.steps else None
-        if covariance is not None:
-            report.checks.append(_gated("final-covariance-defect", covariance, tol.eps))
+    last = pipe.steps[-1]
+    if last.covariance is not None:
+        report.checks.append(_gated("final-covariance-defect", last.covariance, tol.eps))
     report.stages = list(pipe.steps)
     report.capped = pipe.capped
     _write_out(args, pipe.final_rep, tol, report)

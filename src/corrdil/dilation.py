@@ -39,9 +39,7 @@ from .representation import (
     GraphRep,
     _corner_defects,
     _covariance_residuals,
-    ck_defect,
     row_contraction_check,
-    toeplitz_defect,
 )
 
 __all__ = [
@@ -100,7 +98,7 @@ class StageRecord:
     is a leading diagonal block of each residual.  A "compression" row
     repeats the full defects of the row before it (the same representation)
     and takes its corner on the pipeline's original space, the leading
-    rep.dim coordinates.
+    rep.dim coordinates; with no row before it, it measures the input.
     """
 
     kind: str
@@ -117,8 +115,10 @@ class PipelineReport:
     """Stage table plus the final representation and the isometry locating
     the pipeline's original space inside it: every pipeline keeps that space
     as the leading coordinates, so embed is np.eye(final_rep.dim, rep.dim),
-    kept read-only, as GraphRep keeps its matrices.  capped marks a run cut
-    short by the dimension cap (partial results)."""
+    kept read-only, as GraphRep keeps its matrices.  steps is never empty:
+    it ends on a measured row, a "compression" row of the input when no
+    step ran, and converged reads the last row's covariance.  capped marks
+    a run cut short by the dimension cap (partial results)."""
 
     steps: tuple
     converged: bool
@@ -377,30 +377,50 @@ def _measure(stages: list, kind: str, rep: GraphRep, k: int, sizes=()) -> dict:
     return corners
 
 
-def _run_steps(rep: GraphRep, constructions, tol: Tolerance, stages: list, sizes=()):
-    """Apply the one-step constructions in order, measuring each output in
-    one pass as soon as it is built: one StageRecord per step (corner: the
-    step's input) appended to stages, the last construction's output
-    measured at sizes too.  Returns the last representation, whether the
-    cap cut the run short, and its corners."""
+def _run_steps(rep: GraphRep, steps: tuple, repeat: int, tol: Tolerance, stages: list, sizes=()):
+    """Apply the one-step constructions in steps, in order, repeat times,
+    measuring each output in one pass as soon as it is built: one
+    StageRecord per step (corner: the step's input) appended to stages, the
+    last construction's output measured at sizes too.  Returns the last
+    representation, whether the cap cut the run short, and its corners."""
     current, capped, corners = rep, False, {}
-    for i, construct in enumerate(constructions, 1):
+    total = len(steps) * int(repeat)
+    for i in range(total):
         try:
-            step = construct(current, tol)
+            step = steps[i % len(steps)](current, tol)
         except ResourceCapError:
             capped = True
             break
         current = step.rep_after
         corners = _measure(stages, step.kind, current, step.old_dim,
-                           sizes if i == len(constructions) else ())
+                           sizes if i == total - 1 else ())
     return current, capped, corners
 
 
-def _covariance_within(stages: list, tol: Tolerance) -> bool:
-    """Whether the last stage, if any, has no covariance defect (rep is not
-    covariant) or one <= tol.eps; NaN fails."""
-    cov = stages[-1].covariance if stages else None
-    return cov is None or cov <= tol.eps
+def _close(stages: list, final: GraphRep, d: int, corners: dict) -> None:
+    """Append a "compression" row: final, the last row's representation, on
+    the original space, its leading d coordinates, read from corners when
+    the last step measured it there (the cap can stop a run before its last
+    step).  With no row yet, final is the input and the row measures it."""
+    if not stages:
+        _measure(stages, "compression", final, d)
+        return
+    t, c = corners[d] if d in corners else _corner_defects(final, (d,))[d]
+    stages.append(replace(stages[-1], kind="compression", corner_toeplitz=t, corner_ck=c))
+
+
+def _report(rep: GraphRep, stages: list, final: GraphRep, capped: bool, tol: Tolerance,
+            passed) -> PipelineReport:
+    """Every pipeline's exit.  The stage table ends on a measured row: a
+    "compression" row of rep when no step ran.  converged needs the cap not
+    hit, passed(stages), and for a covariant rep the last row's covariance
+    defect <= tol.eps (NaN fails)."""
+    if not stages:
+        _close(stages, rep, rep.dim, {})
+    cov = stages[-1].covariance
+    converged = not capped and passed(stages) and (cov is None or cov <= tol.eps)
+    return PipelineReport(tuple(stages), converged, final,
+                          _readonly(np.eye(final.dim, rep.dim, dtype=complex)), capped)
 
 
 def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
@@ -413,42 +433,29 @@ def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TO
     also needs the last stage's covariance defect <= tol.eps.  Each step
     checks that its input is a row contraction (ContractivityError
     otherwise); with no step to run, the check of rep runs here."""
-    steps = [one_step_isometric] * int(n_steps)
-    if not steps:
+    if int(n_steps) < 1:
         _require_row_contraction(rep, tol)
     stages: list[StageRecord] = []
-    final, capped, corners = _run_steps(rep, steps, tol, stages, (rep.dim,))
-    if not stages:   # no step ran: the row measures rep itself
-        _measure(stages, "compression", rep, rep.dim)
-    else:   # the last row's representation, on the original space
-        if rep.dim not in corners:   # the cap stopped the run before its last step
-            corners = _corner_defects(final, (rep.dim,))
-        t, c = corners[rep.dim]
-        stages.append(replace(stages[-1], kind="compression", corner_toeplitz=t, corner_ck=c))
-    converged = (not capped and all(s.corner_toeplitz <= tol.eps for s in stages)
-                 and _covariance_within(stages, tol))
-    return PipelineReport(tuple(stages), converged, final,
-                          _readonly(np.eye(final.dim, rep.dim, dtype=complex)), capped)
+    final, capped, corners = _run_steps(rep, (one_step_isometric,), n_steps, tol, stages, (rep.dim,))
+    _close(stages, final, rep.dim, corners)
+    return _report(rep, stages, final, capped, tol,
+                   lambda rows: all(s.corner_toeplitz <= tol.eps for s in rows))
 
 
 def iterate_ck(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
     """n Cuntz-Krieger steps, without a reduction.  Guarantee per stage: the
     Cuntz-Krieger defect compressed to the previous stage's space is
-    <= tol.eps; converged says every stage met it and the cap was not hit.
+    <= tol.eps; converged says every stage met it, the cap was not hit and,
+    for a covariant rep, the last stage's covariance defect is <= tol.eps.
     rep must be a row contraction (ContractivityError otherwise), checked
-    once here; the stages the steps build are not checked again.  With no
-    step to run, converged says whether rep itself meets the Cuntz-Krieger
-    relation."""
+    once here; the stages the steps build are not checked again.  When no
+    step runs, the table is one "compression" row that measures rep itself,
+    and converged reads that row."""
     _require_row_contraction(rep, tol)
-    steps = [one_step_ck] * int(n_steps)
-    if not steps:
-        return PipelineReport((), ck_defect(rep) <= tol.eps, rep,
-                              _readonly(np.eye(rep.dim, dtype=complex)))
     stages: list[StageRecord] = []
-    final, capped, _ = _run_steps(rep, steps, tol, stages)
-    converged = not capped and all(s.corner_ck <= tol.eps for s in stages)
-    return PipelineReport(tuple(stages), converged, final,
-                          _readonly(np.eye(final.dim, rep.dim, dtype=complex)), capped)
+    final, capped, _ = _run_steps(rep, (one_step_ck,), n_steps, tol, stages)
+    return _report(rep, stages, final, capped, tol,
+                   lambda rows: all(s.corner_ck <= tol.eps for s in rows))
 
 
 def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
@@ -461,28 +468,28 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
     and the compression row measures it on the pipeline's original space.
     The stopping rule is a finite-stage surrogate for the limit object: each
     round certifies both relations on the corner carried forward from the
-    round before.  For a covariant rep, converged also needs the last
-    stage's covariance defect <= tol.eps.  rep must be a row contraction
+    round before.  An input that already meets both relations runs no
+    round, and a run with no round has one "compression" row that measures
+    rep itself.  For a covariant rep, converged also needs the last row's
+    covariance defect <= tol.eps.  rep must be a row contraction
     (ContractivityError otherwise), checked once here; each round's
     isometric step still reads its own input's verdict from its own factor.
     """
     _require_row_contraction(rep, tol)
     d, current, capped = rep.dim, rep, False
     stages: list[StageRecord] = []
-    round_steps = (one_step_ck, one_step_isometric)
-    done = toeplitz_defect(rep) <= tol.eps and ck_defect(rep) <= tol.eps
+    done = all(x <= tol.eps for x in _corner_defects(rep, (d,))[d])   # a NaN fails
     for _ in range(0 if done else int(max_rounds)):
-        dilated, capped, corners = _run_steps(current, round_steps, tol, stages, (d, current.dim))
+        dilated, capped, corners = _run_steps(current, (one_step_ck, one_step_isometric), 1,
+                                              tol, stages, (d, current.dim))
         if capped:
             break
-        done = all(x <= tol.eps for x in corners[current.dim])   # on the round's input; a NaN fails
+        done = all(x <= tol.eps for x in corners[current.dim])   # on the round's input
         current = dilated
-        t, c = corners[d]
-        stages.append(replace(stages[-1], kind="compression", corner_toeplitz=t, corner_ck=c))
+        _close(stages, current, d, corners)
         if done:
             break
-    return PipelineReport(tuple(stages), done and _covariance_within(stages, tol), current,
-                          _readonly(np.eye(current.dim, d, dtype=complex)), capped)
+    return _report(rep, stages, current, capped, tol, lambda rows: done)
 
 
 class _MomentTable(Mapping):

@@ -46,9 +46,9 @@ class Tolerance:
     """Numerical policy knobs.
 
     eps bounds acceptable defect norms, eig_clip is the cutoff below which
-    eigenvalues/singular values are treated as zero, and max_dim caps the
-    dimension of any space a computation is allowed to construct (dilation
-    spaces grow geometrically).
+    eigenvalues/singular values are treated as zero, and max_dim, an integer
+    of at least 1, caps the dimension of any space a computation is allowed
+    to construct (dilation spaces grow geometrically).
     """
 
     eps: float = 1e-8
@@ -60,8 +60,11 @@ class Tolerance:
             raise ValueError("eps must be finite and positive")
         if not (0.0 < self.eig_clip < math.inf):
             raise ValueError("eig_clip must be finite and positive")
+        if isinstance(self.max_dim, bool) or not isinstance(self.max_dim, (int, np.integer)):
+            raise ValueError("max_dim must be an integer")
         if self.max_dim < 1:
             raise ValueError("max_dim must be at least 1")
+        object.__setattr__(self, "max_dim", int(self.max_dim))   # problem_text writes only int
 
     def check_dim(self, dim: int) -> None:
         """Raise ResourceCapError when dim exceeds the configured cap."""

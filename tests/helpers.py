@@ -190,6 +190,18 @@ def z3_cycle_rotation() -> tuple:
     return g, GaugeAction(group, g, perms, units)
 
 
+def signed_loop(sign: float) -> GraphRep:
+    """The one-loop isometry t(e0) = 1 with u = I, Z_2 acting on the loop's
+    bucket by [[sign]].  Its Toeplitz and Cuntz-Krieger defects are 0 and
+    its covariance defect is |1 - sign|: sign -1 gives 2.0, the pair
+    written to tests/data/noncovariant_loop.json."""
+    g = cuntz_graph(1)
+    a = GaugeAction(FiniteGroup.cyclic(2), g, ({"v": "v"}, {"v": "v"}),
+                    {(1, "v", "v"): np.array([[sign]])})
+    return GraphRep(g, 1, {"v": np.eye(1)}, {"e0": np.eye(1)}, action=a,
+                    unitaries={0: np.eye(1), 1: np.eye(1)})
+
+
 def z3_loop_rotation() -> GaugeAction:
     """Z_3 cyclically permuting the three loops of the Cuntz-3 graph."""
     g = cuntz_graph(3)

@@ -30,13 +30,14 @@ from helpers import (
     cuntz_graph,
     random_cc_rep,
     rng_for,
+    signed_loop,
     trivial_action,
     truncated_vertex_swap,
     z2_loop_swap,
     z3_loop_rotation,
     zero_rep,
 )
-from test_io import CANONICAL_SAMPLE
+from test_io import CANONICAL_SAMPLE, NONCOVARIANT_LOOP
 
 
 @pytest.fixture()
@@ -203,7 +204,7 @@ def test_dilate_ck_without_steps_checks_the_input(tmp_path, capsys, t, steps, co
     argv = ["dilate", "--mode", "ck", "--steps", steps, "--format", "records", str(path)]
     assert main(argv) == code
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert not [r for r in rows if r["record"] == "stage"]
+    assert [r["kind"] for r in rows if r["record"] == "stage"] == ["compression"]
     corner = [r for r in rows if r["record"] == "check" and r["name"] == "corner-ck-defect"]
     assert len(corner) == 1
     assert corner[0]["value"] == pytest.approx(1.0 - t * t, abs=1e-15)
@@ -321,25 +322,42 @@ def _check_rows(rows) -> list:
     return [r for r in rows if r["record"] == "check"]
 
 
-@pytest.mark.parametrize("mode", ["isometric", "cp"])
+@pytest.mark.parametrize("mode", [
+    ["isometric"], ["cp"], ["ck", "--steps", "0"], ["ck", "--steps", "1"],
+], ids=["isometric", "cp", "ck-0", "ck-1"])
 def test_dilate_gates_the_final_covariance(tmp_path, capsys, monkeypatch, cuntz2_zero_file, mode):
-    # a covariant file gets one gated line read from the last stage row; a
-    # drift of 1.6e-8 > eps there fails the run
-    path = _covariant_file(tmp_path, 1.0)
-    argv = ["dilate", "--mode", mode, "--format", "records"]
+    # a covariant file gets one gated line read from the last stage row,
+    # whether or not a step ran; a drift of 1.6e-8 > eps there fails the
+    # run, and so does the loop whose covariance defect is 2.0, which cp
+    # finds already converged.  ck runs on a covariant loop that meets the
+    # Cuntz-Krieger relation, so that its corner-ck-defect passes
+    ck = mode[0] == "ck"
+    if ck:
+        rep = signed_loop(1.0)
+        path = str(tmp_path / "loop.json")
+        save_problem(ProblemFile(rep.graph, rep.action, rep, Tolerance()), path)
+    else:
+        path = _covariant_file(tmp_path, 1.0)
+    argv = ["dilate", "--mode", *mode, "--format", "records"]
     assert main(argv + [path]) == 0
     rows = _records(capsys)
     line = next(r for r in rows if r.get("name") == "final-covariance-defect")
     assert line["value"] == [r for r in rows if r["record"] == "stage"][-1]["covariance"]
     assert line["value"] <= 1e-12 and line["threshold"] == 1e-8 and line["passed"]
-    assert main(argv + [cuntz2_zero_file]) == 0
+    assert main(argv + [cuntz2_zero_file]) == (1 if mode[-1] == "0" else 0)
     assert "final-covariance-defect" not in {r["name"] for r in _check_rows(_records(capsys))}
+    assert main(argv + [str(NONCOVARIANT_LOOP)]) == 1
+    assert _check_rows(_records(capsys))[-1] == {
+        "record": "check", "name": "final-covariance-defect", "value": 2.0, "threshold": 1e-8,
+        "passed": False}
 
     monkeypatch.setattr(corrdil.dilation, "_covariance_residuals",
                         lambda rep, block=None: iter([np.full((1, 1), 1.6e-8)]))
     assert main(argv + [path]) == 1
     checks = _check_rows(_records(capsys))
     assert checks[-2:] == [
+        {"record": "check", "name": "corner-ck-defect", "value": 0.0, "threshold": 1e-8,
+         "passed": True} if ck else
         {"record": "check", "name": "pipeline.converged", "value": 0.0, "threshold": None,
          "passed": False},
         {"record": "check", "name": "final-covariance-defect", "value": 1.6e-8,

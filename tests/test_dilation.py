@@ -35,6 +35,7 @@ from corrdil import (
     inner_product,
     iterate_ck,
     iterate_coextension,
+    load_problem,
     minimal_reduce,
     moment_signature,
     one_step_ck,
@@ -54,6 +55,7 @@ from helpers import (
     random_graph,
     random_unit_vector,
     rng_for,
+    signed_loop,
     truncated_vertex_swap,
     unitary_cycle_oracle,
     z2_loop_swap,
@@ -62,6 +64,7 @@ from helpers import (
     z3_loop_rotation,
     zero_rep,
 )
+from test_io import NONCOVARIANT_LOOP
 from test_representation import empty_rep, loop_rep, traced_peak, two_cycle_isometric
 
 
@@ -555,7 +558,7 @@ def test_cp_dilate_respects_already_converged():
     base = GraphRep(rep.graph, rep.dim, rep.proj, rep.edge_op)
     report = cp_dilate(base, max_rounds=5)
     assert report.converged
-    assert report.steps == ()
+    assert [(s.kind, s.new_dim) for s in report.steps] == [("compression", 2)]
     assert report.final_rep.dim == 2
 
 
@@ -642,7 +645,8 @@ def test_pipelines_reject_non_row_contractions(run):
 @pytest.mark.parametrize("t, converged", [(0.5, False), (1.0, True)])
 def test_iterate_ck_without_steps_measures_its_input(t, converged):
     report = iterate_ck(loop_rep(t), 0)
-    assert report.steps == () and not report.capped
+    assert [(s.kind, s.new_dim) for s in report.steps] == [("compression", 1)]
+    assert not report.capped
     assert report.converged is converged
 
 
@@ -1110,7 +1114,7 @@ def test_only_the_last_step_is_measured_at_the_callers_sizes(monkeypatch):
     assert calls == [[2, dims[0]], [dims[0], dims[1]], [2, dims[1], dims[2]]]
     calls.clear()
     dims = [s.new_dim for s in cp_dilate(rep, 2, tol=Tolerance(eig_clip=1e-6)).steps]
-    assert calls == [[2, dims[0]], [2, dims[0], dims[1]],
+    assert calls == [[2], [2, dims[0]], [2, dims[0], dims[1]],
                      [dims[1], dims[3]], [2, dims[1], dims[3], dims[4]]]
 
 
@@ -1145,3 +1149,36 @@ def test_covariance_gates_convergence(monkeypatch, pipeline):
         report = pipeline(rep)
         assert report.steps[-1].covariance == pytest.approx(covariance, nan_ok=True)
         assert not report.converged and not report.capped
+
+
+@pytest.mark.parametrize("pipeline", [
+    pytest.param(lambda rep: iterate_coextension(rep, 0), id="coext-0"),
+    pytest.param(lambda rep: iterate_coextension(rep, 1), id="coext-1"),
+    pytest.param(lambda rep: iterate_ck(rep, 0), id="ck-0"),
+    pytest.param(lambda rep: iterate_ck(rep, 1), id="ck-1"),
+    pytest.param(lambda rep: cp_dilate(rep, 0), id="cp-0"),
+    pytest.param(lambda rep: cp_dilate(rep, 1), id="cp-1"),
+    pytest.param(lambda rep: cp_dilate(rep, 3), id="cp-3"),
+])
+def test_every_pipeline_gates_covariance(pipeline):
+    # the loop meets every relation but covariance (defect 2.0), so no step
+    # changes it and cp runs no round: every exit, with or without a step,
+    # reads the covariance of its last row; the same loop acted on by [[1]]
+    # is covariant and converges
+    report = pipeline(load_problem(NONCOVARIANT_LOOP).representation)
+    assert report.steps[-1].covariance == 2.0
+    assert not report.converged and not report.capped
+    report = pipeline(signed_loop(1.0))
+    assert report.steps[-1].covariance == 0.0 and report.converged
+
+
+def test_a_long_run_allocates_nothing_per_requested_step():
+    # a million requested steps stop at the cap after 63 of them; a list of
+    # the requested steps alone would take 8 MB
+    reports = []
+    peak = traced_peak(lambda: reports.append(
+        iterate_coextension(loop_rep(0.5), 10**6, Tolerance(max_dim=64))))
+    report = reports[0]
+    assert report.capped and not report.converged
+    assert report.final_rep.dim == 64 and len(report.steps) == 64
+    assert peak < 2 * 2**20

@@ -25,13 +25,15 @@ from corrdil import (
     problem_text,
 )
 from corrdil.io import canonical_text, matrix_from_json, matrix_to_json
-from helpers import cuntz_graph, random_cc_rep, rng_for, z2_loop_swap
+from helpers import cuntz_graph, random_cc_rep, rng_for, signed_loop, z2_loop_swap
 
 
 # The canonical text of canonical_sample_problem(), pinned byte for byte.  Regenerate
 # it (only for an intended change of the format) with
 #     PYTHONPATH=src:tests python tests/test_io.py
 CANONICAL_SAMPLE = Path(__file__).parent / "data" / "canonical_sample.json"
+# signed_loop(-1.0) as problem_text writes it: every relation but covariance holds
+NONCOVARIANT_LOOP = Path(__file__).parent / "data" / "noncovariant_loop.json"
 
 
 def sample_problem() -> ProblemFile:
@@ -409,6 +411,12 @@ def test_canonical_sample_fixture_bytes():
 
 def test_canonical_sample_problem_writes_fixture():
     assert problem_text(canonical_sample_problem()) == CANONICAL_SAMPLE.read_text(encoding="utf-8")
+
+
+def test_noncovariant_loop_fixture_is_the_written_signed_loop():
+    rep = signed_loop(-1.0)
+    text = problem_text(ProblemFile(rep.graph, rep.action, rep, Tolerance()))
+    assert text == NONCOVARIANT_LOOP.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

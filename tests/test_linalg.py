@@ -566,6 +566,17 @@ def test_tolerance_dimension_cap():
     tol.check_dim(16)
 
 
+@pytest.mark.parametrize("value, message", [
+    (0, "at least 1"), (-1, "at least 1"), (3.9, "an integer"), (True, "an integer"),
+])
+def test_tolerance_requires_an_integral_dimension_cap(value, message):
+    # the library twin of the problem file's max_dim check: no float truncated, no bool read as 1
+    with pytest.raises(ValueError, match=f"max_dim must be {message}"):
+        Tolerance(max_dim=value)
+    tol = Tolerance(max_dim=np.int64(5))
+    assert tol.max_dim == 5 and type(tol.max_dim) is int
+
+
 @pytest.mark.parametrize("field", ["eps", "eig_clip"])
 @pytest.mark.parametrize("value", [0.0, -1e-8, float("inf"), float("nan")])
 def test_tolerance_requires_finite_positive(field, value):
