@@ -6,6 +6,9 @@ Reports go to standard output as an aligned text table or, with
 ``--format records``, as one JSON object per line.  Exit statuses are a
 stable contract: 0 all checks passed (or pipeline converged), 1 a check
 failed, 2 input error, 3 dimension cap reached (partial results printed).
+``dilate`` and ``induce`` refuse an input that fails validation (exit 1)
+with ``validate``'s report and a note of what was not run.  Only a run
+that exits 0 writes its ``--out`` file.
 """
 
 from __future__ import annotations
@@ -140,14 +143,6 @@ def render(report: Report, fmt: str = "text") -> str:
 
 # ---------------------------------------------------------------- shared pieces
 
-def _merge_tol(file_tol: Tolerance, args) -> Tolerance:
-    return Tolerance(
-        eps=file_tol.eps if args.tol is None else args.tol,
-        eig_clip=file_tol.eig_clip if args.eig_clip is None else args.eig_clip,
-        max_dim=file_tol.max_dim if args.max_dim is None else args.max_dim,
-    )
-
-
 def _info(name: str, value: float) -> CheckLine:
     return CheckLine(name, float(value), None, True)
 
@@ -155,19 +150,6 @@ def _info(name: str, value: float) -> CheckLine:
 def _flag(name: str, ok: bool) -> CheckLine:
     # predicate indicator: value 1 when the named property holds, 0 when not
     return CheckLine(name, 1.0 if ok else 0.0, None, bool(ok))
-
-
-def _structure_checks(pf: ProblemFile, tol: Tolerance, report: Report) -> bool:
-    """Graph and action checks; returns whether the action (if any) passed
-    its axioms, without which the covariance defect is not defined."""
-    g = pf.graph
-    report.checks.append(_info("graph.vertex-count", len(g.vertices)))
-    report.checks.append(_info("graph.edge-count", len(g.edges)))
-    report.checks.append(_info("graph.finite-receiver-count", len(finite_receivers(g))))
-    report.checks.append(
-        _info("graph.hyperrigidity-criterion", 1.0 if satisfies_hyperrigidity_criterion(g) else 0.0)
-    )
-    return pf.action is None or _action_checks(pf.action, tol, report)
 
 
 def _action_checks(action, tol: Tolerance, report: Report) -> bool:
@@ -181,18 +163,6 @@ def _action_checks(action, tol: Tolerance, report: Report) -> bool:
     return res.ok
 
 
-def _action_fails(action, tol: Tolerance, report: Report, skipped: str) -> bool:
-    """Whether the action fails its checks (a bucket matrix of the wrong
-    shape is an input error, exit 2).  report, empty until now, then holds
-    the failing action.* lines and their notes and says what was not run."""
-    action.edge_unitaries
-    failed = not _action_checks(action, tol, report)
-    report.checks = [c for c in report.checks if not c.passed]
-    if failed:
-        report.notes.append(f"the action failed its checks; {skipped} not run")
-    return failed
-
-
 def _verdict_checks(rep: GraphRep, tol: Tolerance) -> list:
     """The check lines that decide whether rep can be dilated: its structure
     and the row contraction of each range fiber."""
@@ -202,67 +172,90 @@ def _verdict_checks(rep: GraphRep, tol: Tolerance) -> list:
     return checks
 
 
-def _defect_lines(rep: GraphRep, report: Report, covariance: bool = True) -> None:
-    """The informational defect measurements, which decide nothing."""
-    report.checks.append(_info("toeplitz-defect", toeplitz_defect(rep)))
-    report.checks.append(_info("ck-defect", ck_defect(rep)))
-    if rep.covariant and covariance:
+def _validate_lines(pf: ProblemFile, tol: Tolerance, report: Report, verdict=None) -> None:
+    """validate's report of pf: the graph lines, the action lines with their
+    notes, the representation's verdict lines (measured unless given), then
+    the informational defects, which decide nothing.  The covariance defect
+    is not measured against an action that fails its checks."""
+    g, rep = pf.graph, pf.representation
+    report.checks += [_info("graph.vertex-count", len(g.vertices)),
+                      _info("graph.edge-count", len(g.edges)),
+                      _info("graph.finite-receiver-count", len(finite_receivers(g))),
+                      _info("graph.hyperrigidity-criterion",
+                            1.0 if satisfies_hyperrigidity_criterion(g) else 0.0)]
+    action_ok = pf.action is None or _action_checks(pf.action, tol, report)
+    if rep is None:
+        report.notes.append("no representation block: graph/action checks only")
+        return
+    report.checks += verdict or _verdict_checks(rep, tol)
+    report.checks += [_info("toeplitz-defect", toeplitz_defect(rep)),
+                      _info("ck-defect", ck_defect(rep))]
+    if rep.covariant and action_ok:
         report.checks.append(_info("covariance-defect", covariance_defect(rep)))
     elif rep.covariant:
         report.notes.append("covariance-defect not measured: the action failed its checks")
 
 
+def _refused(pf: ProblemFile, tol: Tolerance, report: Report, skipped: str) -> bool:
+    """dilate's and induce's input gate: whether pf's representation or
+    action fails validation.  A passing file adds nothing to report; a
+    refused one gets validate's report and a note that `skipped` was not
+    run.  The action is read only once the representation's verdict passes,
+    so a bucket matrix of the wrong shape is an input error (exit 2) on a
+    representation that passes and a failing action line (exit 1) on one
+    that fails."""
+    verdict = _verdict_checks(pf.representation, tol)
+    if all(c.passed for c in verdict):
+        if pf.action is None:
+            return False
+        pf.action.edge_unitaries
+        if verify_action(pf.action, tol).ok:
+            return False
+    _validate_lines(pf, tol, report, verdict)
+    report.notes.append(f"input failed validation; {skipped} not run")
+    return True
+
+
+def _load(args, command: str, *blocks: str) -> tuple:
+    """A file command's start: args.file loaded (an input error when one of
+    the named blocks is missing), its tolerance overridden by the flags
+    given, and the report begun."""
+    pf = load_problem(args.file)
+    for block in blocks:
+        if getattr(pf, block) is None:
+            article = "an" if block == "action" else "a"
+            raise ParseError(f"top level: {args.subcommand} requires {article} {block} block")
+    file_tol = pf.tolerance
+    tol = Tolerance(eps=file_tol.eps if args.tol is None else args.tol,
+                    eig_clip=file_tol.eig_clip if args.eig_clip is None else args.eig_clip,
+                    max_dim=file_tol.max_dim if args.max_dim is None else args.max_dim)
+    return pf, tol, Report(command=f"{command} {args.file}")
+
+
 def _write_out(args, rep: GraphRep, tol: Tolerance, report: Report) -> None:
-    if getattr(args, "out", None):
-        out_pf = ProblemFile(rep.graph, rep.action, rep, tol)
-        save_problem(out_pf, args.out)
+    """Write rep to --out, if given, from a run that exits 0 only."""
+    if args.out and report.exit_status == 0:
+        save_problem(ProblemFile(rep.graph, rep.action, rep, tol), args.out)
         report.notes.append(f"final representation written to {args.out}")
 
 
 # ---------------------------------------------------------------- subcommands
 
 def cmd_validate(args) -> Report:
-    pf = load_problem(args.file)
-    tol = _merge_tol(pf.tolerance, args)
-    report = Report(command=f"validate {args.file}")
-    action_ok = _structure_checks(pf, tol, report)
-    if pf.representation is None:
-        report.notes.append("no representation block: graph/action checks only")
-    else:
-        report.checks.extend(_verdict_checks(pf.representation, tol))
-        _defect_lines(pf.representation, report, covariance=action_ok)
+    pf, tol, report = _load(args, "validate")
+    _validate_lines(pf, tol, report)
     return report
 
 
-def _truncation_note(rep: GraphRep, report: Report) -> None:
-    flagged = sorted(rep.graph.truncated)
-    if flagged:
-        report.notes.append(
-            "truncation-flagged vertices excluded from Cuntz-Krieger conditions: "
-            + ", ".join(flagged)
-        )
-
-
 def cmd_dilate(args) -> Report:
-    pf = load_problem(args.file)
-    if pf.representation is None:
-        raise ParseError("top level: dilate requires a representation block")
-    tol = _merge_tol(pf.tolerance, args)
+    pf, tol, report = _load(args, f"dilate --mode {args.mode}", "representation")
     rep = pf.representation
-    report = Report(command=f"dilate --mode {args.mode} {args.file}")
-
-    verdict = _verdict_checks(rep, tol)
-    if not all(c.passed for c in verdict):
-        # validate's lines without the graph's and the passing action lines
-        action_ok = rep.action is None or _action_checks(rep.action, tol, report)
-        report.checks = [c for c in report.checks if not c.passed] + verdict
-        _defect_lines(rep, report, covariance=action_ok)
-        report.notes.append("input failed validation; pipeline not run")
+    if _refused(pf, tol, report, "pipeline"):
         return report
-    if rep.action is not None and _action_fails(rep.action, tol, report, "pipeline"):
-        return report
-    if args.mode in ("ck", "cp"):
-        _truncation_note(rep, report)
+    flagged = ", ".join(sorted(rep.graph.truncated))
+    if flagged and args.mode != "isometric":
+        report.notes.append(
+            f"truncation-flagged vertices excluded from Cuntz-Krieger conditions: {flagged}")
 
     if args.mode == "ck":
         pipe = iterate_ck(rep, n_steps=args.steps, tol=tol)
@@ -281,22 +274,10 @@ def cmd_dilate(args) -> Report:
 
 
 def cmd_induce(args) -> Report:
-    pf = load_problem(args.file)
-    if pf.action is None:
-        raise ParseError("top level: induce requires an action block")
-    if pf.representation is None:
-        raise ParseError("top level: induce requires a representation block")
-    tol = _merge_tol(pf.tolerance, args)
+    pf, tol, report = _load(args, "induce", "action", "representation")
     rep = pf.representation
-    report = Report(command=f"induce {args.file}")
-
     tol.check_dim(pf.action.group.order * rep.dim)
-    verdict = _verdict_checks(rep, tol)
-    if not all(c.passed for c in verdict):
-        report.checks = [c for c in verdict if not c.passed]
-        report.notes.append("input failed validation; induction not run")
-        return report
-    if _action_fails(pf.action, tol, report, "induction"):
+    if _refused(pf, tol, report, "induction"):
         return report
     ind = induced_regular_rep(rep, pf.action)
     report.checks.append(_info("induced.dim", ind.dim))

@@ -297,27 +297,6 @@ def _records(capsys) -> list:
             for line in capsys.readouterr().out.splitlines()]
 
 
-@pytest.mark.parametrize("covariant", [False, True], ids=["loop", "covariant"])
-def test_dilate_gate_failure_prints_the_validate_checks(tmp_path, capsys, covariant):
-    if covariant:
-        path = _covariant_file(tmp_path, 3.0)
-    else:
-        g = cuntz_graph(1)
-        rep = GraphRep(g, 1, {"v": np.eye(1)}, {"e0": np.array([[2.0]])})
-        path = str(tmp_path / "exp.json")
-        save_problem(ProblemFile(g, None, rep, Tolerance()), path)
-    assert main(["validate", path, "--format", "records"]) == 1
-    validated = [r for r in _records(capsys) if r["record"] == "check"
-                 and not r["name"].startswith(("graph.", "action."))]
-    assert main(["dilate", "--mode", "cp", path, "--format", "records"]) == 1
-    rows = _records(capsys)
-    assert [r for r in rows if r["record"] == "check"] == validated
-    assert any(r["name"] == "toeplitz-defect" for r in validated)
-    assert (any(r["name"] == "covariance-defect" for r in validated)) is covariant
-    assert rows[-2:] == [{"record": "note", "text": "input failed validation; pipeline not run"},
-                         {"record": "result", "exit_status": 1}]
-
-
 def _check_rows(rows) -> list:
     return [r for r in rows if r["record"] == "check"]
 
@@ -362,33 +341,6 @@ def test_dilate_gates_the_final_covariance(tmp_path, capsys, monkeypatch, cuntz2
          "passed": False},
         {"record": "check", "name": "final-covariance-defect", "value": 1.6e-8,
          "threshold": 1e-8, "passed": False},
-    ]
-
-
-def test_dilate_gate_failure_names_a_failing_action(tmp_path, capsys):
-    # the input fails its row check and its action is not unitary: dilate
-    # prints validate's lines but the graph's and the passing action lines,
-    # and measures no covariance against the failing action
-    a = NON_UNITARY
-    rep = GraphRep(a.graph, 1, {"v": np.eye(1)}, {"e0": np.array([[2.0]]), "e1": np.zeros((1, 1))},
-                   action=a, unitaries={0: np.eye(1), 1: np.eye(1)})
-    path = str(tmp_path / "bad-action.json")
-    save_problem(ProblemFile(rep.graph, a, rep, Tolerance()), path)
-    assert main(["validate", path, "--format", "records"]) == 1
-    validated = _records(capsys)
-    assert main(["dilate", "--mode", "cp", path, "--format", "records"]) == 1
-    rows = _records(capsys)
-    names = [r["name"] for r in _check_rows(rows)]
-    assert names[0] == "action.module-automorphism-axioms"
-    assert "covariance-defect" not in names
-    assert [r for r in _check_rows(rows) if not r["name"].startswith("action.")] == [
-        r for r in _check_rows(validated) if not r["name"].startswith(("graph.", "action."))]
-    assert [r for r in _check_rows(rows) if r["name"].startswith("action.")] == [
-        r for r in _check_rows(validated) if r["name"].startswith("action.") and not r["passed"]]
-    assert [r["text"] for r in rows if r["record"] == "note"] == [
-        "action axioms: bucket matrix (1, 'v', 'v') is not unitary",
-        "covariance-defect not measured: the action failed its checks",
-        "input failed validation; pipeline not run",
     ]
 
 
@@ -468,24 +420,6 @@ def test_induce_checks_the_dimension_cap(tmp_path, capsys, source, induced_dim, 
         assert load_problem(out_path).representation.dim == induced_dim
     else:
         assert not out_path.exists()
-
-
-def test_induce_gates_its_input(tmp_path, capsys):
-    # proj(v) = 0.5 is no projection and t(e0) = 3 no contraction: induce
-    # prints validate's failing lines and induces nothing
-    g = cuntz_graph(1)
-    rep = GraphRep(g, 1, {"v": 0.5 * np.eye(1)}, {"e0": 3.0 * np.eye(1)})
-    path, out_path = str(tmp_path / "loop.json"), tmp_path / "induced.json"
-    save_problem(ProblemFile(g, trivial_action(g), rep, Tolerance()), path)
-    assert main(["validate", path, "--format", "records"]) == 1
-    failing = [r for r in _records(capsys) if r["record"] == "check" and not r["passed"]]
-    assert main(["induce", path, "--out", str(out_path), "--format", "records"]) == 1
-    assert _records(capsys)[1:] == failing + [
-        {"record": "note", "text": "input failed validation; induction not run"},
-        {"record": "result", "exit_status": 1},
-    ]
-    assert {r["name"] for r in failing} >= {"projection[v]", "row-contraction[v]"}
-    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------- one parser
@@ -690,27 +624,126 @@ NON_UNITARY = GaugeAction(FiniteGroup.cyclic(2), cuntz_graph(2), ({"v": "v"}, {"
                           {(1, "v", "v"): np.array([[0.0, 2.0], [0.5, 0.0]])})
 
 
-@pytest.mark.parametrize("action, reason", [
-    (NON_UNITARY, "bucket matrix (1, 'v', 'v') is not unitary"),
-    (truncated_vertex_swap(), "element 1 moves a truncated vertex"),
-], ids=["non-unitary", "moves-truncated"])
-@pytest.mark.parametrize("argv, skipped", [
-    (["dilate", "--mode", "isometric"], "pipeline"), (["dilate", "--mode", "ck"], "pipeline"),
-    (["dilate", "--mode", "cp"], "pipeline"), (["induce"], "induction"),
-], ids=["isometric", "ck", "cp", "induce"])
-def test_failing_action_stops_dilate_and_induce(tmp_path, capsys, action, reason, argv, skipped):
-    path, out_path = _action_file(tmp_path, action), tmp_path / "out.json"
-    assert main(["validate", path]) == 1
-    assert f"note: action axioms: {reason}\n" in capsys.readouterr().out
+# ---------------------------------------------------------------- input gate
+
+def _saved(tmp_path, rep: GraphRep, action=None) -> str:
+    path = tmp_path / "input.json"
+    save_problem(ProblemFile(rep.graph, action or rep.action, rep, Tolerance()), path)
+    return str(path)
+
+
+def _expansive_loop(tmp_path) -> str:
+    return _saved(tmp_path, GraphRep(cuntz_graph(1), 1, {"v": np.eye(1)}, {"e0": np.array([[2.0]])}))
+
+
+def _expansive_non_unitary(tmp_path) -> str:
+    # fails its row check, and its action is not unitary
+    return _saved(tmp_path, GraphRep(
+        NON_UNITARY.graph, 1, {"v": np.eye(1)}, {"e0": np.array([[2.0]]), "e1": np.zeros((1, 1))},
+        action=NON_UNITARY, unitaries={0: np.eye(1), 1: np.eye(1)}))
+
+
+def _half_projection_loop(tmp_path) -> str:
+    # proj(v) = 0.5 is no projection and t(e0) = 3 no contraction
+    g = cuntz_graph(1)
+    rep = GraphRep(g, 1, {"v": 0.5 * np.eye(1)}, {"e0": 3.0 * np.eye(1)})
+    return _saved(tmp_path, rep, trivial_action(g))
+
+
+def _refusal(skipped: str) -> list:
+    """What dilate and induce add to validate's check and note records."""
+    return [{"record": "note", "text": f"input failed validation; {skipped} not run"},
+            {"record": "result", "exit_status": 1}]
+
+
+# each dilate mode and induce, with the step the refusal note names
+GATED = [(["dilate", "--mode", mode], "pipeline") for mode in ("isometric", "ck", "cp")] + [
+    (["induce"], "induction")]
+
+NOT_MEASURED = "covariance-defect not measured: the action failed its checks"
+
+REFUSED = [   # id, file, records validate prints, and names it leaves out
+    ("expansive-loop", _expansive_loop, ["toeplitz-defect", "row-contraction[v]"],
+     ["covariance-defect"]),
+    ("covariant-scale-3", lambda tmp_path: _covariant_file(tmp_path, 3.0), ["covariance-defect"],
+     []),
+    ("canonical-sample", lambda tmp_path: str(CANONICAL_SAMPLE), ["row-contraction[v]"], []),
+    ("expansive-non-unitary", _expansive_non_unitary,
+     ["action axioms: bucket matrix (1, 'v', 'v') is not unitary", NOT_MEASURED],
+     ["covariance-defect"]),
+    ("non-unitary", lambda tmp_path: _action_file(tmp_path, NON_UNITARY),
+     ["action axioms: bucket matrix (1, 'v', 'v') is not unitary", NOT_MEASURED],
+     ["covariance-defect"]),
+    ("moves-truncated", lambda tmp_path: _action_file(tmp_path, truncated_vertex_swap()),
+     ["action axioms: element 1 moves a truncated vertex", NOT_MEASURED], ["covariance-defect"]),
+    ("half-projection", _half_projection_loop, ["projection[v]", "row-contraction[v]"], []),
+]
+
+
+# the expansive loop has no action block, so induce does not take it
+@pytest.mark.parametrize("source, shown, hidden, argv, skipped", [
+    pytest.param(source, shown, hidden, argv, skipped, id=f"{argv[-1]}-{name}")
+    for name, source, shown, hidden in REFUSED for argv, skipped in GATED
+    if argv != ["induce"] or name != "expansive-loop"])
+def test_refused_input_prints_the_validate_report(tmp_path, capsys, source, shown, hidden, argv,
+                                                  skipped):
+    # dilate and induce refuse a file validate fails: they print validate's
+    # check and note records and one note saying what was not run, exit 1
+    # and write no --out file
+    path, out_path = source(tmp_path), tmp_path / "out.json"
+    assert main(["validate", path, "--format", "records"]) == 1
+    validated = _records(capsys)[1:-1]
+    said = {r.get("name", r.get("text")) for r in validated}
+    assert set(shown) <= said and not set(hidden) & said
     assert main(argv + [path, "--out", str(out_path), "--format", "records"]) == 1
-    assert _records(capsys)[1:] == [
-        {"record": "check", "name": "action.module-automorphism-axioms", "value": 0.0,
-         "threshold": None, "passed": False},
-        {"record": "note", "text": f"action axioms: {reason}"},
-        {"record": "note", "text": f"the action failed its checks; {skipped} not run"},
-        {"record": "result", "exit_status": 1},
-    ]
+    rows = _records(capsys)
+    assert rows[0] == {"record": "command", "text": " ".join(argv + [path])}
+    assert rows[1:] == validated + _refusal(skipped)
     assert not out_path.exists()
+
+
+def test_gate_reads_the_action_after_the_verdict(tmp_path, capsys):
+    # t(e0) = 2 fails the row check, so the gate never reads the 1 x 1
+    # bucket matrix: exit 1 with validate's report, which notes the wrong
+    # shape.  On a representation that passes, the same action is an input
+    # error (test_wrong_shape_bucket_matrix_exit_2)
+    path = _short_bucket_problem(tmp_path, with_rep=True)
+    with open(path) as f:
+        obj = json.load(f)
+    obj["representation"]["edge_op"]["e0"] = [[[2, 0]]]
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    assert main(["validate", path, "--format", "records"]) == 1
+    validated = _records(capsys)[1:-1]
+    assert {"record": "note", "text": "action axioms: bucket matrix (1, 'v', 'v') has wrong shape"
+            } in validated
+    assert not next(r for r in validated if r.get("name") == "row-contraction[v]")["passed"]
+    for argv, skipped in GATED:
+        assert main(argv + [path, "--format", "records"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [json.loads(line) for line in captured.out.splitlines()][1:] == (
+            validated + _refusal(skipped))
+
+
+def test_only_a_run_that_exits_0_writes_out(tmp_path, capsys, cuntz2_zero_file):
+    # a run that fails its gates (exit 1) or is capped (exit 3) writes no
+    # --out file and prints no note of one
+    out_path = tmp_path / "out.json"
+    loop = str(NONCOVARIANT_LOOP)
+    big = _saved(tmp_path, zero_rep(cuntz_graph(3), 4))
+    for argv, code in [
+        (["--mode", "isometric", loop], 1), (["--mode", "ck", "--steps", "0", loop], 1),
+        (["--mode", "ck", "--steps", "2", loop], 1), (["--mode", "cp", loop], 1),
+        (["--mode", "ck", "--steps", "0", cuntz2_zero_file], 1),
+        (["--mode", "isometric", "--steps", "3", "--max-dim", "24", big], 3),
+    ]:
+        assert main(["dilate", *argv, "--out", str(out_path)]) == code
+        assert "final representation written" not in capsys.readouterr().out
+        assert not out_path.exists()
+    assert main(["dilate", "--mode", "cp", cuntz2_zero_file, "--out", str(out_path)]) == 0
+    assert f"note: final representation written to {out_path}\n" in capsys.readouterr().out
+    assert load_problem(out_path).representation is not None
 
 
 # ---------------------------------------------------------------- vertex maps
