@@ -347,7 +347,7 @@ def minimal_reduce(rep: GraphRep, seed: Subspace, tol: Tolerance = DEFAULT_TOL) 
         T = rep.edge_op[e.eid]
         gens.extend([T, T.conj().T])
     gens.extend(rep.proj[v] for v in rep.graph.vertices)
-    if rep.unitaries is not None:
+    if rep.covariant:
         for U in rep.unitaries.values():
             gens.extend([U, U.conj().T])
     space = orthonormal_closure(rep.dim, list(seed.basis.T), gens, tol)
@@ -355,7 +355,7 @@ def minimal_reduce(rep: GraphRep, seed: Subspace, tol: Tolerance = DEFAULT_TOL) 
     proj = {v: _readonly(B.conj().T @ rep.proj[v] @ B) for v in rep.graph.vertices}
     edge_op = {e.eid: _readonly(B.conj().T @ rep.edge_op[e.eid] @ B) for e in rep.graph.edges}
     unitaries = None
-    if rep.unitaries is not None:
+    if rep.covariant:
         unitaries = {g: _readonly(B.conj().T @ U @ B) for g, U in rep.unitaries.items()}
     rep_after = GraphRep(rep.graph, space.dim, proj, edge_op,
                          action=rep.action, unitaries=unitaries)
@@ -380,32 +380,26 @@ def _measure(stages: list, kind: str, rep: GraphRep, k: int, sizes=()) -> dict:
 def _run_steps(rep: GraphRep, steps: tuple, repeat: int, tol: Tolerance, stages: list, sizes=()):
     """Apply the one-step constructions in steps, in order, repeat times,
     measuring each output in one pass as soon as it is built: one
-    StageRecord per step (corner: the step's input) appended to stages, the
-    last construction's output measured at sizes too.  Returns the last
-    representation, whether the cap cut the run short, and its corners."""
-    current, capped, corners = rep, False, {}
-    total = len(steps) * int(repeat)
-    for i in range(total):
+    StageRecord per step (corner: the step's input) appended to stages, and
+    every output measured at sizes too, the corners its pipeline reads.
+    Returns the last representation, whether the cap stopped the run, and
+    the last output's corners."""
+    current, corners = rep, {}
+    for i in range(len(steps) * int(repeat)):
         try:
             step = steps[i % len(steps)](current, tol)
         except ResourceCapError:
-            capped = True
-            break
+            return current, True, corners
         current = step.rep_after
-        corners = _measure(stages, step.kind, current, step.old_dim,
-                           sizes if i == total - 1 else ())
-    return current, capped, corners
+        corners = _measure(stages, step.kind, current, step.old_dim, sizes)
+    return current, False, corners
 
 
-def _close(stages: list, final: GraphRep, d: int, corners: dict) -> None:
-    """Append a "compression" row: final, the last row's representation, on
-    the original space, its leading d coordinates, read from corners when
-    the last step measured it there (the cap can stop a run before its last
-    step).  With no row yet, final is the input and the row measures it."""
-    if not stages:
-        _measure(stages, "compression", final, d)
-        return
-    t, c = corners[d] if d in corners else _corner_defects(final, (d,))[d]
+def _close(stages: list, d: int, corners: dict) -> None:
+    """Append a "compression" row: the last row's representation on the
+    original space, its leading d coordinates, read from corners, where the
+    last step measured it."""
+    t, c = corners[d]
     stages.append(replace(stages[-1], kind="compression", corner_toeplitz=t, corner_ck=c))
 
 
@@ -416,7 +410,7 @@ def _report(rep: GraphRep, stages: list, final: GraphRep, capped: bool, tol: Tol
     hit, passed(stages), and for a covariant rep the last row's covariance
     defect <= tol.eps (NaN fails)."""
     if not stages:
-        _close(stages, rep, rep.dim, {})
+        _measure(stages, "compression", rep, rep.dim)
     cov = stages[-1].covariance
     converged = not capped and passed(stages) and (cov is None or cov <= tol.eps)
     return PipelineReport(tuple(stages), converged, final,
@@ -424,20 +418,23 @@ def _report(rep: GraphRep, stages: list, final: GraphRep, capped: bool, tol: Tol
 
 
 def iterate_coextension(rep: GraphRep, n_steps: int, tol: Tolerance = DEFAULT_TOL) -> PipelineReport:
-    """n isometric steps, closed by a "compression" row that measures the
-    last stage on the original space.  The steps build the truncated Fock
-    tower, which the original space generates, so no reduction runs: the
-    final representation is the last step's output and embed its leading
-    coordinates.  Guarantee per stage: the Toeplitz defect compressed to the
-    previous stage's space is <= tol.eps; for a covariant rep, converged
-    also needs the last stage's covariance defect <= tol.eps.  Each step
-    checks that its input is a row contraction (ContractivityError
-    otherwise); with no step to run, the check of rep runs here."""
+    """n isometric steps, each measured on the original space too, closed
+    by a "compression" row that reads the last step's measurement there (a
+    run with no step has one "compression" row that measures rep).  The
+    steps build the truncated Fock tower, which the original space
+    generates, so no reduction runs: the final representation is the last
+    step's output and embed its leading coordinates.  Guarantee per stage:
+    the Toeplitz defect compressed to the previous stage's space is
+    <= tol.eps; for a covariant rep, converged also needs the last stage's
+    covariance defect <= tol.eps.  Each step checks that its input is a row
+    contraction (ContractivityError otherwise); with no step to run, the
+    check of rep runs here."""
     if int(n_steps) < 1:
         _require_row_contraction(rep, tol)
     stages: list[StageRecord] = []
     final, capped, corners = _run_steps(rep, (one_step_isometric,), n_steps, tol, stages, (rep.dim,))
-    _close(stages, final, rep.dim, corners)
+    if stages:
+        _close(stages, rep.dim, corners)
     return _report(rep, stages, final, capped, tol,
                    lambda rows: all(s.corner_toeplitz <= tol.eps for s in rows))
 
@@ -486,7 +483,7 @@ def cp_dilate(rep: GraphRep, max_rounds: int, tol: Tolerance = DEFAULT_TOL) -> P
             break
         done = all(x <= tol.eps for x in corners[current.dim])   # on the round's input
         current = dilated
-        _close(stages, current, d, corners)
+        _close(stages, d, corners)
         if done:
             break
     return _report(rep, stages, current, capped, tol, lambda rows: done)
@@ -547,26 +544,22 @@ def moment_signature(rep: GraphRep, seed: Subspace, max_len: int) -> Mapping:
     """
     if seed.ambient_dim != rep.dim:
         raise DimensionError("seed subspace does not live in the representation space")
-    words = [()]
-    frontier = [()]
-    for _ in range(int(max_len)):
-        nxt = []
-        for w in frontier:
-            for e in rep.graph.edges:
-                if w and e.src != rep.graph.edge(w[0]).dst:
-                    continue
-                nxt.append((e.eid,) + w)
-        words.extend(nxt)
-        frontier = nxt
-    words.sort()
     extents = {e.eid: _extent(rep.edge_op[e.eid]) for e in rep.graph.edges}
     nonzero = np.flatnonzero(seed.basis.any(axis=1))
     rows = int(nonzero[-1]) + 1 if rep.dim > _SUPPORT_MIN and nonzero.size else rep.dim
     vectors = {(): (seed.basis, (rows, seed.dim))}   # word -> (vector, its extent)
-    for w in sorted(words, key=len):
-        if w and w not in vectors:
-            T, (x, b) = rep.edge_op[w[0]], vectors[w[1:]]
-            a = extents[w[0]]
-            vectors[w] = (_lead_product(T, a, x, b), (a[0], b[1]))
+    frontier = [()]
+    for _ in range(int(max_len)):
+        nxt = []
+        for w in frontier:
+            x, b = vectors[w]
+            for e in rep.graph.edges:
+                if w and e.src != rep.graph.edge(w[0]).dst:
+                    continue
+                word, a = (e.eid,) + w, extents[e.eid]
+                vectors[word] = (_lead_product(rep.edge_op[e.eid], a, x, b), (a[0], b[1]))
+                nxt.append(word)
+        frontier = nxt
+    words = sorted(vectors)
     Q = np.concatenate([vectors[w][0] for w in words], axis=1)
     return _MomentTable(words, seed.dim, Q.conj().T @ Q)

@@ -386,7 +386,7 @@ def _rep_to_json(rep: GraphRep) -> dict:
         "proj": dict(rep.proj),
         "edge_op": dict(rep.edge_op),
     }
-    if rep.unitaries is not None:
+    if rep.covariant:
         out["unitaries"] = [rep.unitaries[g] for g in range(rep.action.group.order)]
     return out
 

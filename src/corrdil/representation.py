@@ -104,7 +104,8 @@ class GraphRep:
 
     @property
     def covariant(self) -> bool:
-        return self.action is not None and self.unitaries is not None
+        """Whether unitaries are present; the constructor requires an action with them."""
+        return self.unitaries is not None
 
     @cached_property
     def _row_margins(self) -> tuple:
@@ -169,7 +170,7 @@ def _structure_residuals(rep: GraphRep):
         T = rep.edge_op[e.eid]
         yield f"module-covariance[{e.eid}]", rep.proj[e.dst] @ T - T
         yield f"module-covariance[{e.eid}]", T @ rep.proj[e.src] - T
-    if rep.unitaries is not None:
+    if rep.covariant:
         group, us = rep.action.group, rep.unitaries
         for g, U in sorted(us.items()):
             yield f"unitary[{g}]", U @ U.conj().T - eye
@@ -393,7 +394,7 @@ def covariance_defect(rep: GraphRep) -> float:
     """max over g, e, v of ||u(g) t(e) - t(alpha_g delta_e) u(g)|| and
     ||u(g) proj(v) - proj(alpha_g v) u(g)||, with alpha_g delta_e the e-th
     column of the edge unitary W_g."""
-    if rep.action is None or rep.unitaries is None:
+    if not rep.covariant:
         raise ConfigurationError("covariance defect needs an action and unitaries")
     return _max_op_norms(_covariance_residuals(rep))[0]
 

@@ -1102,20 +1102,23 @@ def test_step_outputs_are_zero_where_the_measurement_skips(name, dim):
                     assert not R[k:, k:].any()
 
 
-def test_only_the_last_step_is_measured_at_the_callers_sizes(monkeypatch):
-    # the leading blocks the pipelines read are those of the last step; a
-    # step before it is measured at its own corner and dimension only
+def test_each_step_is_measured_once_at_the_callers_sizes(monkeypatch):
+    # every step is measured once, at its own corner and dimension and at
+    # the corners its pipeline reads; the compression row reads the last
+    # measurement, so nothing is measured again after a step or the cap
     calls = []
     measure = corrdil.dilation._corner_defects
     monkeypatch.setattr(corrdil.dilation, "_corner_defects", lambda rep, sizes, block=None: (
         calls.append(sorted(set(sizes))) or measure(rep, sizes, block)))
     rep = slow_loop()
-    dims = [s.new_dim for s in iterate_coextension(rep, 3).steps[:3]]
-    assert calls == [[2, dims[0]], [dims[0], dims[1]], [2, dims[1], dims[2]]]
+    iterate_coextension(rep, 3)
+    assert calls == [[2, 4], [2, 4, 6], [2, 6, 8]]
     calls.clear()
-    dims = [s.new_dim for s in cp_dilate(rep, 2, tol=Tolerance(eig_clip=1e-6)).steps]
-    assert calls == [[2], [2, dims[0]], [2, dims[0], dims[1]],
-                     [dims[1], dims[3]], [2, dims[1], dims[3], dims[4]]]
+    cp_dilate(rep, 2, tol=Tolerance(eig_clip=1e-6))
+    assert calls == [[2], [2, 3], [2, 3, 4], [2, 4, 5], [2, 4, 5, 6]]
+    calls.clear()
+    assert iterate_coextension(rep, 3, tol=Tolerance(max_dim=7)).capped
+    assert calls == [[2, 4], [2, 4, 6]]
 
 
 def test_capped_coextension_measures_its_last_stage_on_the_original_space():
@@ -1127,6 +1130,25 @@ def test_capped_coextension_measures_its_last_stage_on_the_original_space():
         "isometric-step", "isometric-step", "compression"]
     last = report.steps[-1]
     assert [last.corner_toeplitz, last.corner_ck] == _corner_defects(report.final_rep, [2])[2]
+
+
+@pytest.mark.parametrize("graph, d, cap, dims", [
+    (cuntz_graph(3), 4, 100, [16, 52]),
+    (cuntz_graph(2), 6, 90, [18, 42, 90]),
+    (cycle_graph(2), 12, 60, list(range(24, 61, 12))),
+])
+def test_capped_coextension_past_support_min_reads_the_dense_corner(graph, d, cap, dims):
+    # past _SUPPORT_MIN the last step is measured on the block it can
+    # couple; the compression row's corner must still be the dense one
+    rep = random_cc_rep(rng_for(1500), graph, d)
+    report = iterate_coextension(rep, 6, tol=Tolerance(max_dim=cap))
+    assert report.capped and [s.new_dim for s in report.steps[:-1]] == dims
+    assert report.final_rep.dim > corrdil.linalg._SUPPORT_MIN
+    last = report.steps[-1]
+    t, c = _corner_defects(report.final_rep, (rep.dim,))[rep.dim]
+    assert last.kind == "compression"
+    assert last.corner_toeplitz == pytest.approx(t, abs=1e-12)
+    assert last.corner_ck == pytest.approx(c, abs=1e-12)
 
 
 def _drifted(value: float):
